@@ -84,15 +84,18 @@ bench:
 
 # The tracked benchmark set: the workers=1/2/4 sensing cycle (with
 # per-stage wall/busy/idle/utilization extras from the stage profiler),
-# the Table II regeneration, and the allocation-free scoring-path
-# benchmarks. Iteration counts are pinned (-benchtime Nx): RunCycle's
-# per-op cost depends on b.N (MIC retrains accumulate training data
-# across iterations), so adaptive benchtime makes ns/op and allocs/op
-# incomparable between runs and the regression gate meaningless.
+# the Table II regeneration, the allocation-free scoring-path
+# benchmarks, and one MIC retraining pass per committee expert (the
+# dense-layer training kernels, DESIGN.md §9). Iteration counts are
+# pinned (-benchtime Nx): RunCycle's per-op cost depends on b.N (MIC
+# retrains accumulate training data across iterations), so adaptive
+# benchtime makes ns/op and allocs/op incomparable between runs and the
+# regression gate meaningless.
 BENCH_CMD = ( $(GO) test -bench 'BenchmarkTable2Accuracy' -benchtime 1x -benchmem -run xxx -timeout 60m . ; \
 	  $(GO) test -bench 'BenchmarkRunCycleParallel' -benchtime 300x -benchmem -run xxx -timeout 60m . ; \
 	  $(GO) test -bench 'BenchmarkRunCyclePipelined' -benchtime 150x -benchmem -run xxx -timeout 60m . ; \
-	  $(GO) test -bench 'BenchmarkCommitteeVote$$|BenchmarkCommitteeEntropy$$' -benchtime 100000x -benchmem -run xxx ./internal/qss/ )
+	  $(GO) test -bench 'BenchmarkCommitteeVote$$|BenchmarkCommitteeEntropy$$' -benchtime 100000x -benchmem -run xxx ./internal/qss/ ; \
+	  $(GO) test -bench 'BenchmarkExpertRetrain' -benchtime 100x -benchmem -run xxx ./internal/classifier/ )
 
 # Machine-readable parallel-scaling trajectory: reruns the tracked
 # benchmark set and appends to the committed BENCH_parallel.json —

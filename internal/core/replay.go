@@ -26,6 +26,8 @@ type replayBuffer struct {
 	// minPoolDraw is the minimum number of pool samples mixed into each
 	// batch regardless of how few crowd samples have accumulated.
 	minPoolDraw int
+	// order is batch's reused permutation buffer.
+	order []int
 }
 
 func newReplayBuffer(pool []classifier.Sample, seed int64) *replayBuffer {
@@ -77,7 +79,8 @@ func (b *replayBuffer) batch() []classifier.Sample {
 	}
 	out := make([]classifier.Sample, 0, len(b.acquired)+draw)
 	out = append(out, b.acquired...)
-	for _, idx := range b.rng.Perm(len(b.pool))[:draw] {
+	b.order = mathx.PermInto(b.rng, b.order, len(b.pool))
+	for _, idx := range b.order[:draw] {
 		out = append(out, b.pool[idx])
 	}
 	return out

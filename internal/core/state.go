@@ -223,7 +223,9 @@ func (cl *CrowdLearn) applyState(s *systemState, trainSamples []classifier.Sampl
 			return err
 		}
 	}
-	if err := cl.committee.SetWeights(s.Weights); err != nil {
+	// Verbatim, not SetWeights: renormalising would move the last bits
+	// and the restored system would drift from the one that saved.
+	if err := cl.committee.RestoreWeights(s.Weights); err != nil {
 		return err
 	}
 	policy, err := bandit.FromState(s.Bandit)

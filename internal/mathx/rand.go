@@ -137,3 +137,20 @@ func Shuffle(rng *rand.Rand, idx []int) {
 func Perm(rng *rand.Rand, n int) []int {
 	return rng.Perm(n)
 }
+
+// PermInto is rng.Perm(n) written into buf, grown if its capacity is
+// below n: the same Intn(i+1) draws in the same order, so the result
+// and the stream position afterwards match rng.Perm exactly. Hot loops
+// use it to reuse one permutation buffer across calls.
+func PermInto(rng *rand.Rand, buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}

@@ -168,3 +168,27 @@ func TestShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("Shuffle lost elements: %v", idx)
 	}
 }
+
+// TestPermIntoMatchesPerm: PermInto draws exactly what rand.Perm draws,
+// whether it grows the buffer or reuses it, and leaves the counted
+// stream at the same position.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	ref, refSrc := NewCountedRand(9)
+	got, gotSrc := NewCountedRand(9)
+	var buf []int
+	for _, n := range []int{0, 1, 7, 400, 400, 12, 401} {
+		want := ref.Perm(n)
+		buf = PermInto(got, buf, n)
+		if len(buf) != n {
+			t.Fatalf("n=%d: len %d", n, len(buf))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("n=%d: PermInto differs from Perm at %d", n, i)
+			}
+		}
+		if gotSrc.Pos() != refSrc.Pos() {
+			t.Fatalf("n=%d: stream at %d draws, Perm left it at %d", n, gotSrc.Pos(), refSrc.Pos())
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 
 	"github.com/crowdlearn/crowdlearn/internal/mathx"
@@ -31,50 +32,14 @@ const (
 	Identity
 )
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case Tanh:
-		return math.Tanh(x)
-	case Identity:
-		return x
-	default:
-		panic(fmt.Sprintf("neural: unknown activation %d", int(a)))
-	}
-}
-
-// derivative returns dA/dz given the activated output y = A(z).
-func (a Activation) derivative(y float64) float64 {
-	switch a {
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case Tanh:
-		return 1 - y*y
-	case Identity:
-		return 1
-	default:
-		panic(fmt.Sprintf("neural: unknown activation %d", int(a)))
-	}
-}
-
 // layer is one dense layer: out = act(W·in + b).
 type layer struct {
 	in, out int
 	act     Activation
 	// w is row-major [out][in]; b is [out].
 	w, b []float64
-	// vw/vb hold the momentum buffers under SGDMomentum and the second
-	// (uncentred variance) moment under Adam.
+	// vw/vb are the momentum buffers.
 	vw, vb []float64
-	// mw/mb hold Adam's first-moment buffers; nil under SGDMomentum.
-	mw, mb []float64
 }
 
 func newLayer(rng interface{ NormFloat64() float64 }, in, out int, act Activation) *layer {
@@ -96,28 +61,109 @@ func newLayer(rng interface{ NormFloat64() float64 }, in, out int, act Activatio
 	return l
 }
 
-// forward computes the activated outputs, writing pre-activations to zs if
-// non-nil (training path).
+// forward computes the activated outputs out = act(W·in + b).
+//
+// Every output element is computed exactly as the plain loop would:
+// s = 0; s += w[o][i]*in[i] for i in order; z = b[o] + s (DESIGN §9).
+// Blocking four output rows per pass over in only gives the CPU four
+// independent accumulation chains and reuses each in[i] load four times.
 func (l *layer) forward(in, out []float64) {
-	for o := 0; o < l.out; o++ {
-		row := l.w[o*l.in : (o+1)*l.in]
-		z := l.b[o] + mathx.Dot(row, in)
-		out[o] = l.act.apply(z)
+	n := l.in
+	in = in[:n]
+	out = out[:l.out]
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		r0 := l.w[o*n:][:len(in)]
+		r1 := l.w[(o+1)*n:][:len(in)]
+		r2 := l.w[(o+2)*n:][:len(in)]
+		r3 := l.w[(o+3)*n:][:len(in)]
+		var s0, s1, s2, s3 float64
+		for i, x := range in {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+			s2 += r2[i] * x
+			s3 += r3[i] * x
+		}
+		out[o] = l.b[o] + s0
+		out[o+1] = l.b[o+1] + s1
+		out[o+2] = l.b[o+2] + s2
+		out[o+3] = l.b[o+3] + s3
+	}
+	for ; o < l.out; o++ {
+		out[o] = l.b[o] + mathx.Dot(l.w[o*n:][:n], in)
+	}
+	switch l.act {
+	case ReLU:
+		for o, z := range out {
+			if z < 0 {
+				out[o] = 0
+			}
+		}
+	case Tanh:
+		for o, z := range out {
+			out[o] = math.Tanh(z)
+		}
+	case Identity:
+	default:
+		panic(fmt.Sprintf("neural: unknown activation %d", int(l.act)))
 	}
 }
 
-// Optimizer selects the weight-update rule.
-type Optimizer int
-
-// Supported optimizers.
-const (
-	// SGDMomentum is classical stochastic gradient descent with momentum
-	// (the default).
-	SGDMomentum Optimizer = iota
-	// Adam is adaptive moment estimation (Kingma & Ba); more robust to
-	// learning-rate choice on small, noisy retraining batches.
-	Adam
-)
+// backward writes the delta of this layer's input into newDelta given
+// the output delta: newDelta[i] = (sum_o delta[o]*w[o][i]) * prev'(in[i]),
+// where prev is the activation that produced the input and inAct its
+// values.
+//
+// The sum runs row by row so w is read contiguously, yet each
+// newDelta[i] still sees s = 0; s += delta[o]*w[o][i] for o in order
+// before the derivative multiply (DESIGN §9). The multiply is never
+// skipped, not even for a dead ReLU unit: x*0 keeps x's sign and NaN*0
+// stays NaN, exactly as in the plain loop.
+func (l *layer) backward(delta, newDelta, inAct []float64, prev Activation) {
+	n := l.in
+	newDelta = newDelta[:n]
+	inAct = inAct[:n]
+	clear(newDelta)
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		r0 := l.w[o*n:][:len(newDelta)]
+		r1 := l.w[(o+1)*n:][:len(newDelta)]
+		r2 := l.w[(o+2)*n:][:len(newDelta)]
+		r3 := l.w[(o+3)*n:][:len(newDelta)]
+		for i, s := range newDelta {
+			s += d0 * r0[i]
+			s += d1 * r1[i]
+			s += d2 * r2[i]
+			s += d3 * r3[i]
+			newDelta[i] = s
+		}
+	}
+	for ; o < l.out; o++ {
+		d := delta[o]
+		row := l.w[o*n:][:len(newDelta)]
+		for i, w := range row {
+			newDelta[i] += d * w
+		}
+	}
+	switch prev {
+	case ReLU:
+		for i, y := range inAct {
+			var g float64
+			if y > 0 {
+				g = 1
+			}
+			newDelta[i] *= g
+		}
+	case Tanh:
+		for i, y := range inAct {
+			newDelta[i] *= 1 - y*y
+		}
+	case Identity: // x*1 == x
+	default:
+		panic(fmt.Sprintf("neural: unknown activation %d", int(prev)))
+	}
+}
 
 // Config parameterises training.
 type Config struct {
@@ -125,11 +171,9 @@ type Config struct {
 	Hidden []int
 	// HiddenActivation applies to every hidden layer (default ReLU).
 	HiddenActivation Activation
-	// Optimizer selects the update rule (default SGDMomentum).
-	Optimizer Optimizer
-	// LearningRate is the optimizer step size.
+	// LearningRate is the SGD step size.
 	LearningRate float64
-	// Momentum is the classical momentum coefficient (SGDMomentum only).
+	// Momentum is the classical momentum coefficient.
 	Momentum float64
 	// WeightDecay is the L2 regularisation coefficient.
 	WeightDecay float64
@@ -167,7 +211,7 @@ func DefaultConfig() Config {
 type Network struct {
 	cfg    Config
 	layers []*layer
-	rng    *randSource
+	rng    *rand.Rand
 	// rngSrc counts draws on the seeded stream behind rng, making the
 	// shuffle position checkpointable (State.RNGDraws).
 	rngSrc  *mathx.CountingSource
@@ -177,22 +221,9 @@ type Network struct {
 	// PredictInto safe for concurrent use: committee voting fans
 	// inference out across goroutines.
 	inferScratch sync.Pool
-	// train holds the reusable training buffers, built lazily on the
-	// first Train call. Training itself is single-goroutine at the top
-	// level; only the per-example gradient staging inside a batch fans
-	// out.
-	train *trainScratch
-	// adamStep counts Adam updates for bias correction.
-	adamStep int
-}
-
-// randSource narrows *rand.Rand so the package can be tested with a
-// deterministic stub if ever needed.
-type randSource struct {
-	r interface {
-		NormFloat64() float64
-		Perm(int) []int
-	}
+	// shape keys the idle training scratch this network can reuse
+	// (idleTrainScratch): input width, hidden widths, classes.
+	shape string
 }
 
 // New constructs a network mapping inDim features to classes outputs.
@@ -213,7 +244,7 @@ func New(inDim, classes int, cfg Config) (*Network, error) {
 		cfg.HiddenActivation = ReLU
 	}
 	rng, src := mathx.NewCountedRand(cfg.Seed)
-	n := &Network{cfg: cfg, rng: &randSource{r: rng}, rngSrc: src, inDim: inDim, classes: classes}
+	n := &Network{cfg: cfg, rng: rng, rngSrc: src, inDim: inDim, classes: classes}
 
 	prev := inDim
 	for _, h := range cfg.Hidden {
@@ -224,6 +255,7 @@ func New(inDim, classes int, cfg Config) (*Network, error) {
 		prev = h
 	}
 	n.layers = append(n.layers, newLayer(rng, prev, classes, Identity))
+	n.shape = fmt.Sprint(inDim, cfg.Hidden, classes)
 	return n, nil
 }
 
@@ -310,17 +342,19 @@ func (n *Network) Train(examples []Example) (float64, error) {
 			return 0, fmt.Errorf("neural: example %d target dim %d, want %d", i, len(ex.Target), n.classes)
 		}
 	}
-	n.ensureTrainScratch()
+	ts := n.takeTrainScratch()
+	defer idleTrainScratch.put(n.shape, ts)
 	var lastLoss float64
 	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
-		order := n.rng.r.Perm(len(examples))
+		order := mathx.PermInto(n.rng, ts.order, len(examples))
+		ts.order = order
 		var epochLoss float64
 		for start := 0; start < len(order); start += n.cfg.BatchSize {
 			end := start + n.cfg.BatchSize
 			if end > len(order) {
 				end = len(order)
 			}
-			epochLoss += n.trainBatch(examples, order[start:end])
+			epochLoss += n.trainBatch(ts, examples, order[start:end])
 		}
 		lastLoss = epochLoss / float64(len(examples))
 	}
@@ -368,9 +402,9 @@ func (n *Network) TrainWithWorkers(examples []Example, epochs int, learningRate 
 // layerGrads accumulates one layer's gradients over a minibatch.
 type layerGrads struct{ gw, gb []float64 }
 
-// exampleStage holds one example's staged forward/backward results so the
-// parallel batch path can merge gradient contributions in example-index
-// order after the fan-out.
+// exampleStage holds one example's staged forward/backward results, so
+// a minibatch's backprop passes can run in any order or concurrently
+// before their gradient contributions merge in example-index order.
 type exampleStage struct {
 	// acts[0] aliases the example features; acts[li+1] is layer li's
 	// activated output.
@@ -382,13 +416,16 @@ type exampleStage struct {
 }
 
 // trainScratch is every reusable buffer of the training loop; after the
-// first batch a Train call allocates nothing per batch.
+// first batch a Train call allocates nothing per batch, and a Train call
+// that finds an idle set (idleTrainScratch) allocates nothing at all.
 type trainScratch struct {
 	gs []layerGrads
-	// seq is the single staging area of the sequential path.
-	seq exampleStage
-	// staged[p] is batch position p's staging area on the parallel path.
+	// staged[p] is batch position p's staging area.
 	staged []exampleStage
+	// order is the epoch's shuffled example order, drawn with
+	// mathx.PermInto so the checkpointed stream position
+	// (State.RNGDraws) advances exactly as with rand.Perm.
+	order []int
 }
 
 func (n *Network) newExampleStage() exampleStage {
@@ -404,15 +441,49 @@ func (n *Network) newExampleStage() exampleStage {
 	return st
 }
 
-func (n *Network) ensureTrainScratch() *trainScratch {
-	if n.train == nil {
-		ts := &trainScratch{gs: make([]layerGrads, len(n.layers)), seq: n.newExampleStage()}
-		for i, l := range n.layers {
-			ts.gs[i] = layerGrads{gw: make([]float64, len(l.w)), gb: make([]float64, len(l.b))}
-		}
-		n.train = ts
+// idleTrainScratch holds the training scratch no Train call is using,
+// by network shape. A Train call takes a set and puts it back when it
+// returns, so consecutive retrains allocate nothing, networks of one
+// shape share sets, and an idle network holds only its weights. The
+// store keeps as many sets per shape as Train calls on that shape ever
+// ran at once. Every buffer is overwritten before it is read, so which
+// set a call gets cannot change its result.
+var idleTrainScratch = scratchStore{idle: map[string][]*trainScratch{}}
+
+type scratchStore struct {
+	mu   sync.Mutex
+	idle map[string][]*trainScratch
+}
+
+func (s *scratchStore) take(shape string) *trainScratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sets := s.idle[shape]
+	if len(sets) == 0 {
+		return nil
 	}
-	return n.train
+	ts := sets[len(sets)-1]
+	s.idle[shape] = sets[:len(sets)-1]
+	return ts
+}
+
+func (s *scratchStore) put(shape string, ts *trainScratch) {
+	s.mu.Lock()
+	s.idle[shape] = append(s.idle[shape], ts)
+	s.mu.Unlock()
+}
+
+// takeTrainScratch returns an idle scratch set of this network's shape,
+// or a new one.
+func (n *Network) takeTrainScratch() *trainScratch {
+	if ts := idleTrainScratch.take(n.shape); ts != nil {
+		return ts
+	}
+	ts := &trainScratch{gs: make([]layerGrads, len(n.layers))}
+	for i, l := range n.layers {
+		ts.gs[i] = layerGrads{gw: make([]float64, len(l.w)), gb: make([]float64, len(l.b))}
+	}
+	return ts
 }
 
 // backprop runs one example's forward and backward pass into the stage,
@@ -435,40 +506,52 @@ func (n *Network) backprop(ex Example, st *exampleStage) {
 		last[c] = st.probs[c] - ex.Target[c]
 	}
 	for li := len(n.layers) - 1; li >= 1; li-- {
-		l := n.layers[li]
-		prev := n.layers[li-1]
-		inAct := st.acts[li]
-		delta := st.deltas[li]
-		newDelta := st.deltas[li-1]
-		for i2 := 0; i2 < l.in; i2++ {
-			var s float64
-			for o := 0; o < l.out; o++ {
-				s += delta[o] * l.w[o*l.in+i2]
-			}
-			newDelta[i2] = s * prev.act.derivative(inAct[i2])
-		}
+		n.layers[li].backward(st.deltas[li], st.deltas[li-1], st.acts[li], n.layers[li-1].act)
 	}
 }
 
-// accumulate folds one staged example into the gradient accumulators. The
-// arithmetic — including the d == 0 skip, which matters for signed-zero
-// bit patterns — is identical to a fused backward pass, so running
-// backprop in parallel and merging stages in example-index order yields
-// accumulators bit-identical to sequential execution.
-func (n *Network) accumulate(gs []layerGrads, st *exampleStage) {
-	for li := len(n.layers) - 1; li >= 0; li-- {
-		l := n.layers[li]
-		inAct := st.acts[li]
-		delta := st.deltas[li]
+// accumulate folds the staged examples of one minibatch into the
+// gradient accumulators. Each accumulator element receives exactly the
+// additions of a per-example loop over the batch in example-index order
+// — gb[o] += d, gw[o][i] += d*v[i], with examples whose d == 0 skipped,
+// which matters for signed-zero bit patterns (DESIGN §9). Four nonzero
+// examples are folded per pass over a weight row, so each gradient
+// element is loaded and stored once per four examples instead of once
+// per example.
+func (n *Network) accumulate(gs []layerGrads, stages []exampleStage) {
+	var ds [4]float64
+	var vs [4][]float64
+	for li, l := range n.layers {
+		gb := gs[li].gb
 		for o := 0; o < l.out; o++ {
-			d := delta[o]
-			if d == 0 {
-				continue
-			}
-			gs[li].gb[o] += d
 			row := gs[li].gw[o*l.in : (o+1)*l.in]
-			for i2, v := range inAct {
-				row[i2] += d * v
+			k := 0
+			for p := range stages {
+				d := stages[p].deltas[li][o]
+				if d == 0 {
+					continue
+				}
+				gb[o] += d
+				ds[k], vs[k] = d, stages[p].acts[li]
+				if k++; k == 4 {
+					d0, d1, d2, d3 := ds[0], ds[1], ds[2], ds[3]
+					v0, v1 := vs[0][:len(row)], vs[1][:len(row)]
+					v2, v3 := vs[2][:len(row)], vs[3][:len(row)]
+					for i, g := range row {
+						g += d0 * v0[i]
+						g += d1 * v1[i]
+						g += d2 * v2[i]
+						g += d3 * v3[i]
+						row[i] = g
+					}
+					k = 0
+				}
+			}
+			for j := 0; j < k; j++ {
+				d, v := ds[j], vs[j][:len(row)]
+				for i := range row {
+					row[i] += d * v[i]
+				}
 			}
 		}
 	}
@@ -485,87 +568,50 @@ var trainGrain = parallel.Grain{CostNs: 25_000}
 // With cfg.Workers and the batch shape resolving to more than one
 // grain-effective worker, per-example passes run concurrently and merge
 // deterministically; the result is bit-identical at any worker count.
-func (n *Network) trainBatch(examples []Example, idx []int) float64 {
-	ts := n.ensureTrainScratch()
+func (n *Network) trainBatch(ts *trainScratch, examples []Example, idx []int) float64 {
 	gs := ts.gs
 	for li := range gs {
 		clear(gs[li].gw)
 		clear(gs[li].gb)
 	}
 
-	var totalLoss float64
+	for len(ts.staged) < len(idx) {
+		ts.staged = append(ts.staged, n.newExampleStage())
+	}
+	stages := ts.staged[:len(idx)]
 	if w, _ := trainGrain.Effective(n.cfg.Workers, len(idx)); w > 1 {
-		for len(ts.staged) < len(idx) {
-			ts.staged = append(ts.staged, n.newExampleStage())
-		}
 		parallel.ForGrain(n.cfg.Workers, len(idx), trainGrain, func(p int) {
-			n.backprop(examples[idx[p]], &ts.staged[p])
+			n.backprop(examples[idx[p]], &stages[p])
 		})
-		for p := range idx { // deterministic merge: fixed example order
-			totalLoss += ts.staged[p].loss
-			n.accumulate(gs, &ts.staged[p])
-		}
 	} else {
-		for _, ei := range idx {
-			n.backprop(examples[ei], &ts.seq)
-			totalLoss += ts.seq.loss
-			n.accumulate(gs, &ts.seq)
+		for p, ei := range idx {
+			n.backprop(examples[ei], &stages[p])
 		}
 	}
+	var totalLoss float64
+	for p := range stages { // deterministic merge: fixed example order
+		totalLoss += stages[p].loss
+	}
+	n.accumulate(gs, stages)
 
-	// Optimizer update with L2 decay, averaged over the batch.
+	// SGD-with-momentum update with L2 decay, averaged over the batch.
 	scale := 1 / float64(len(idx))
-	switch n.cfg.Optimizer {
-	case Adam:
-		n.adamUpdate(gs, scale)
-	default:
-		lr, mom, wd := n.cfg.LearningRate, n.cfg.Momentum, n.cfg.WeightDecay
-		for li, l := range n.layers {
-			for i := range l.w {
-				g := gs[li].gw[i]*scale + wd*l.w[i]
-				l.vw[i] = mom*l.vw[i] - lr*g
-				l.w[i] += l.vw[i]
-			}
-			for i := range l.b {
-				g := gs[li].gb[i] * scale
-				l.vb[i] = mom*l.vb[i] - lr*g
-				l.b[i] += l.vb[i]
-			}
+	lr, mom, wd := n.cfg.LearningRate, n.cfg.Momentum, n.cfg.WeightDecay
+	for li, l := range n.layers {
+		ws, gw, vw := l.w, gs[li].gw[:len(l.w)], l.vw[:len(l.w)]
+		for i, w := range ws {
+			g := gw[i]*scale + wd*w
+			vw[i] = mom*vw[i] - lr*g
+			ws[i] = w + vw[i]
+		}
+		bs, gb, vb := l.b, gs[li].gb[:len(l.b)], l.vb[:len(l.b)]
+		for i, b := range bs {
+			g := gb[i] * scale
+			vb[i] = mom*vb[i] - lr*g
+			bs[i] = b + vb[i]
 		}
 	}
 	return totalLoss
-}
-
-// adamUpdate applies one Adam step (Kingma & Ba) to every parameter.
-func (n *Network) adamUpdate(gs []layerGrads, scale float64) {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	n.adamStep++
-	t := float64(n.adamStep)
-	corr1 := 1 - math.Pow(beta1, t)
-	corr2 := 1 - math.Pow(beta2, t)
-	lr, wd := n.cfg.LearningRate, n.cfg.WeightDecay
-	for li, l := range n.layers {
-		if l.mw == nil {
-			l.mw = make([]float64, len(l.w))
-			l.mb = make([]float64, len(l.b))
-		}
-		step := func(w, m, v []float64, g func(i int) float64) {
-			for i := range w {
-				gi := g(i)
-				m[i] = beta1*m[i] + (1-beta1)*gi
-				v[i] = beta2*v[i] + (1-beta2)*gi*gi
-				mHat := m[i] / corr1
-				vHat := v[i] / corr2
-				w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-			}
-		}
-		step(l.w, l.mw, l.vw, func(i int) float64 { return gs[li].gw[i]*scale + wd*l.w[i] })
-		step(l.b, l.mb, l.vb, func(i int) float64 { return gs[li].gb[i] * scale })
-	}
 }
 
 // Clone returns a deep copy of the network (weights and momentum buffers).
@@ -573,12 +619,12 @@ func (n *Network) adamUpdate(gs []layerGrads, scale float64) {
 // rolled back.
 func (n *Network) Clone() *Network {
 	cp := &Network{
-		cfg:      n.cfg,
-		rng:      n.rng, // deliberately shared: clone continues the stream
-		rngSrc:   n.rngSrc,
-		inDim:    n.inDim,
-		classes:  n.classes,
-		adamStep: n.adamStep,
+		cfg:     n.cfg,
+		rng:     n.rng, // deliberately shared: clone continues the stream
+		rngSrc:  n.rngSrc,
+		inDim:   n.inDim,
+		classes: n.classes,
+		shape:   n.shape,
 	}
 	cp.layers = make([]*layer, len(n.layers))
 	for i, l := range n.layers {
@@ -590,8 +636,6 @@ func (n *Network) Clone() *Network {
 			b:   mathx.Clone(l.b),
 			vw:  mathx.Clone(l.vw),
 			vb:  mathx.Clone(l.vb),
-			mw:  mathx.Clone(l.mw),
-			mb:  mathx.Clone(l.mb),
 		}
 	}
 	return cp

@@ -200,6 +200,36 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
+// TestTrainScratchReuseKeepsResults: networks of one shape share
+// training scratch, so a network must train to the same weights whether
+// its Train call gets a new scratch set or one that another network
+// left dirty (larger shuffle buffer, stale stages and gradients).
+func TestTrainScratchReuseKeepsResults(t *testing.T) {
+	train := func(afterOther bool) []float64 {
+		cfg := DefaultConfig()
+		cfg.Epochs = 4
+		if afterOther {
+			other := cfg
+			other.Seed = 99
+			o := MustNew(4, 3, other)
+			if _, err := o.Train(syntheticClusters(11, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := MustNew(4, 3, cfg)
+		if _, err := n.Train(syntheticClusters(6, 90)); err != nil {
+			t.Fatal(err)
+		}
+		return n.Predict([]float64{0.5, 0.5, 0, 0})
+	}
+	alone, reused := train(false), train(true)
+	for i := range alone {
+		if math.Float64bits(alone[i]) != math.Float64bits(reused[i]) {
+			t.Fatalf("prediction %d: %v on the set another network left, %v trained alone", i, reused[i], alone[i])
+		}
+	}
+}
+
 func TestSoftTargets(t *testing.T) {
 	// Training toward a soft 50/50 target should produce predictions near
 	// 50/50 on that input.
@@ -236,21 +266,28 @@ func TestNumParameters(t *testing.T) {
 	}
 }
 
+// TestActivations drives each activation through a one-unit layer with
+// unit weight and zero bias: forward must apply it, backward must scale
+// the delta by its derivative at the activated output.
 func TestActivations(t *testing.T) {
-	if ReLU.apply(-1) != 0 || ReLU.apply(2) != 2 {
-		t.Error("ReLU apply wrong")
+	probe := func(act Activation, z float64) (y, dydz float64) {
+		l := &layer{in: 1, out: 1, act: act, w: []float64{1}, b: []float64{0}}
+		out, nd := []float64{0}, []float64{0}
+		l.forward([]float64{z}, out)
+		l.backward([]float64{1}, nd, out, act)
+		return out[0], nd[0]
 	}
-	if ReLU.derivative(0) != 0 || ReLU.derivative(1) != 1 {
-		t.Error("ReLU derivative wrong")
+	if y, d := probe(ReLU, -1); y != 0 || d != 0 {
+		t.Errorf("ReLU(-1) = %v, derivative %v; want 0, 0", y, d)
 	}
-	if math.Abs(Tanh.apply(0.5)-math.Tanh(0.5)) > 1e-12 {
-		t.Error("Tanh apply wrong")
+	if y, d := probe(ReLU, 2); y != 2 || d != 1 {
+		t.Errorf("ReLU(2) = %v, derivative %v; want 2, 1", y, d)
 	}
-	y := math.Tanh(0.5)
-	if math.Abs(Tanh.derivative(y)-(1-y*y)) > 1e-12 {
-		t.Error("Tanh derivative wrong")
+	y, d := probe(Tanh, 0.5)
+	if math.Abs(y-math.Tanh(0.5)) > 1e-12 || math.Abs(d-(1-y*y)) > 1e-12 {
+		t.Errorf("Tanh(0.5) = %v, derivative %v", y, d)
 	}
-	if Identity.apply(3) != 3 || Identity.derivative(3) != 1 {
-		t.Error("Identity wrong")
+	if y, d := probe(Identity, 3); y != 3 || d != 1 {
+		t.Errorf("Identity(3) = %v, derivative %v; want 3, 1", y, d)
 	}
 }

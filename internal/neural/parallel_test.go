@@ -30,28 +30,25 @@ func parallelTrainingSet(n int) []Example {
 // example-index order.
 func TestTrainBitIdenticalAcrossWorkers(t *testing.T) {
 	examples := parallelTrainingSet(48)
-	for _, opt := range []Optimizer{SGDMomentum, Adam} {
-		train := func(workers int) []byte {
-			cfg := DefaultConfig()
-			cfg.Hidden = []int{12, 8}
-			cfg.Epochs = 6
-			cfg.Optimizer = opt
-			cfg.Workers = workers
-			n := MustNew(6, 3, cfg)
-			if _, err := n.Train(examples); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			var buf bytes.Buffer
-			if err := n.Save(&buf); err != nil {
-				t.Fatalf("workers=%d: save: %v", workers, err)
-			}
-			return buf.Bytes()
+	train := func(workers int) []byte {
+		cfg := DefaultConfig()
+		cfg.Hidden = []int{12, 8}
+		cfg.Epochs = 6
+		cfg.Workers = workers
+		n := MustNew(6, 3, cfg)
+		if _, err := n.Train(examples); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		want := train(1)
-		for _, workers := range []int{2, 8} {
-			if got := train(workers); !bytes.Equal(got, want) {
-				t.Errorf("optimizer=%v workers=%d: serialised network differs from sequential", opt, workers)
-			}
+		var buf bytes.Buffer
+		if err := n.Save(&buf); err != nil {
+			t.Fatalf("workers=%d: save: %v", workers, err)
+		}
+		return buf.Bytes()
+	}
+	want := train(1)
+	for _, workers := range []int{2, 8} {
+		if got := train(workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: serialised network differs from sequential", workers)
 		}
 	}
 }
@@ -90,6 +87,52 @@ func TestPredictConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestTrainConcurrentSameShape: networks of one shape share one store
+// of idle training scratch, so networks of that shape training at once
+// on different goroutines must each get a set of their own and end with
+// the weights they reach when trained one after another.
+func TestTrainConcurrentSameShape(t *testing.T) {
+	const nets = 4
+	train := func(i int) ([]byte, error) {
+		cfg := DefaultConfig()
+		cfg.Epochs = 3
+		cfg.Seed = int64(i + 1)
+		n := MustNew(6, 3, cfg)
+		if _, err := n.Train(parallelTrainingSet(40 + 20*i)); err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err := n.Save(&buf)
+		return buf.Bytes(), err
+	}
+	want := make([][]byte, nets)
+	for i := range want {
+		var err error
+		if want[i], err = train(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]byte, nets)
+	errs := make([]error, nets)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = train(i)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("network %d: concurrent training diverged from sequential", i)
+		}
 	}
 }
 

@@ -15,8 +15,6 @@ type LayerState struct {
 	Activation Activation
 	W, B       []float64
 	VW, VB     []float64
-	// MW, MB hold Adam's first-moment buffers (nil under SGDMomentum).
-	MW, MB []float64
 }
 
 // State is the serialisable form of a Network: everything needed to
@@ -28,8 +26,6 @@ type State struct {
 	InDim   int
 	Classes int
 	Layers  []LayerState
-	// AdamStep carries the optimizer's bias-correction counter.
-	AdamStep int
 	// RNGDraws is the absolute number of values the network has drawn
 	// from its seeded stream (weight init included). FromState
 	// fast-forwards a fresh same-seed stream to this position, so
@@ -46,7 +42,6 @@ func (n *Network) State() State {
 		InDim:    n.inDim,
 		Classes:  n.classes,
 		Layers:   make([]LayerState, len(n.layers)),
-		AdamStep: n.adamStep,
 		RNGDraws: n.rngSrc.Pos(),
 	}
 	// Execution parallelism is not model state: a checkpoint taken at any
@@ -61,8 +56,6 @@ func (n *Network) State() State {
 			B:          mathx.Clone(l.b),
 			VW:         mathx.Clone(l.vw),
 			VB:         mathx.Clone(l.vb),
-			MW:         mathx.Clone(l.mw),
-			MB:         mathx.Clone(l.mb),
 		}
 	}
 	return s
@@ -101,10 +94,7 @@ func FromState(s State) (*Network, error) {
 		if len(ls.VB) == len(l.vb) {
 			copy(l.vb, ls.VB)
 		}
-		l.mw = mathx.Clone(ls.MW)
-		l.mb = mathx.Clone(ls.MB)
 	}
-	n.adamStep = s.AdamStep
 	// New has already consumed the weight-init draws; advance the
 	// remaining distance to the snapshot's absolute position. A
 	// snapshot from before RNGDraws existed decodes as zero and keeps

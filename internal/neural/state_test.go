@@ -2,6 +2,7 @@ package neural
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -99,5 +100,69 @@ func TestStateIsDeepCopy(t *testing.T) {
 	s2 := n.State()
 	if s2.Layers[0].W[0] == s.Layers[0].W[0] {
 		t.Error("State must deep-copy parameters")
+	}
+}
+
+// TestLoadAcceptsLegacyOptimizerFields: snapshots written while the
+// network still carried an optimizer choice have Config.Optimizer,
+// LayerState.MW/MB and State.AdamStep in their gob type. Gob drops
+// fields the destination lacks, so they load into the same network.
+func TestLoadAcceptsLegacyOptimizerFields(t *testing.T) {
+	type legacyConfig struct {
+		Hidden                              []int
+		HiddenActivation                    Activation
+		Optimizer                           int
+		LearningRate, Momentum, WeightDecay float64
+		Epochs, BatchSize                   int
+		Seed                                int64
+		Workers                             int
+	}
+	type legacyLayer struct {
+		In, Out              int
+		Activation           Activation
+		W, B, VW, VB, MW, MB []float64
+	}
+	type legacyState struct {
+		Config         legacyConfig
+		InDim, Classes int
+		Layers         []legacyLayer
+		AdamStep       int
+		RNGDraws       uint64
+	}
+	cfg := DefaultConfig()
+	cfg.Epochs = 5
+	n := MustNew(4, 3, cfg)
+	if _, err := n.Train(syntheticClusters(3, 60)); err != nil {
+		t.Fatal(err)
+	}
+	s := n.State()
+	old := legacyState{
+		Config: legacyConfig{
+			Hidden: s.Config.Hidden, HiddenActivation: s.Config.HiddenActivation,
+			LearningRate: s.Config.LearningRate, Momentum: s.Config.Momentum, WeightDecay: s.Config.WeightDecay,
+			Epochs: s.Config.Epochs, BatchSize: s.Config.BatchSize, Seed: s.Config.Seed,
+		},
+		InDim: s.InDim, Classes: s.Classes, RNGDraws: s.RNGDraws,
+	}
+	for _, l := range s.Layers {
+		old.Layers = append(old.Layers, legacyLayer{In: l.In, Out: l.Out, Activation: l.Activation, W: l.W, B: l.B, VW: l.VW, VB: l.VB})
+	}
+	var legacy, current bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Load(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Save(&current); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := restored.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), current.Bytes()) {
+		t.Error("network loaded from a legacy snapshot saves differently from the original")
 	}
 }

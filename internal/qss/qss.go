@@ -15,6 +15,7 @@ package qss
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -99,6 +100,34 @@ func (c *Committee) SetWeights(w []float64) error {
 	}
 	cp := mathx.Clone(w)
 	mathx.Normalize(cp)
+	c.mu.Lock()
+	c.weights = cp
+	c.mu.Unlock()
+	return nil
+}
+
+// RestoreWeights installs a checkpointed weight vector verbatim, the
+// restore counterpart of Weights. Unlike SetWeights it does not
+// renormalise: renormalising an already normalised vector is not
+// idempotent in float64 (the last bits can move), and a restored system
+// must vote with exactly the weights of the one that wrote the
+// checkpoint. The vector must hold one finite, non-negative weight per
+// expert with a positive sum.
+func (c *Committee) RestoreWeights(w []float64) error {
+	if len(w) != len(c.experts) {
+		return fmt.Errorf("qss: %d weights for %d experts", len(w), len(c.experts))
+	}
+	var sum float64
+	for _, x := range w {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("qss: restored weight %v is not a finite non-negative number", x)
+		}
+		sum += x
+	}
+	if !(sum > 0) || math.IsInf(sum, 0) {
+		return fmt.Errorf("qss: restored weights sum to %v", sum)
+	}
+	cp := mathx.Clone(w)
 	c.mu.Lock()
 	c.weights = cp
 	c.mu.Unlock()

@@ -2,6 +2,7 @@ package qss
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,6 +55,39 @@ func TestCommitteeUniformInitialWeights(t *testing.T) {
 	}
 	if c.Size() != 2 {
 		t.Errorf("Size = %d", c.Size())
+	}
+}
+
+// TestRestoreWeightsVerbatim: a normalised vector on which
+// renormalising is not a fixed point comes back from SetWeights with
+// moved bits but from RestoreWeights exactly as given; invalid vectors
+// are refused.
+func TestRestoreWeightsVerbatim(t *testing.T) {
+	c, _ := NewCommittee(constExpert("a", []float64{1, 0, 0}), constExpert("b", []float64{0, 1, 0}), constExpert("c", []float64{0, 0, 1}))
+	rng := mathx.NewRand(1)
+	var w []float64
+	for w == nil {
+		v := mathx.Normalized([]float64{rng.Float64(), rng.Float64(), rng.Float64() / 300})
+		if again := mathx.Normalized(v); !slices.Equal(again, v) {
+			w = v
+		}
+	}
+	if err := c.SetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(c.Weights(), w) {
+		t.Fatal("SetWeights kept a vector that renormalising moves; the probe proves nothing")
+	}
+	if err := c.RestoreWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Weights(); !slices.Equal(got, w) {
+		t.Errorf("RestoreWeights installed %v, want %v verbatim", got, w)
+	}
+	for _, bad := range [][]float64{{0.5, 0.5}, {-0.1, 0.6, 0.5}, {math.NaN(), 0.5, 0.5}, {math.Inf(1), 0, 0}, {0, 0, 0}} {
+		if err := c.RestoreWeights(bad); err == nil {
+			t.Errorf("RestoreWeights(%v) must error", bad)
+		}
 	}
 }
 

@@ -149,6 +149,11 @@ func (s *Store) Recover(sys *core.CrowdLearn, opts RecoverOptions) (*RecoveryRep
 		}
 	}
 	report.NextCycle = next
+	// The decoded records are replayed into sys; keeping them would
+	// hold every recovered cycle for the life of the process.
+	s.mu.Lock()
+	s.walCycles = nil
+	s.mu.Unlock()
 
 	switch {
 	case report.CheckpointCycles >= 0 && report.CyclesReplayed > 0:

@@ -143,6 +143,9 @@ func crashAndRecover(t *testing.T, opts Options, every int) ([]byte, *RecoveryRe
 	if report.NextCycle != cyclesBeforeCrash {
 		t.Fatalf("recovery resumes at cycle %d, want %d", report.NextCycle, cyclesBeforeCrash)
 	}
+	if n := len(st2.WALCycles()); n != 0 {
+		t.Errorf("store still holds %d WAL records after recovery replayed them", n)
+	}
 	runCycles(t, restored, env, cyclesBeforeCrash, cyclesAfterCrash)
 	return stateBytes(t, restored), report
 }

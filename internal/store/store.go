@@ -50,7 +50,7 @@ type Store struct {
 	mu  sync.Mutex
 	wal *os.File
 	// walCycles holds the records recovered from the WAL at Open, in
-	// file order; Recover consumes them.
+	// file order; Recover replays them and then drops them.
 	walCycles []core.JournalCycle
 	// walTruncated is how many torn-tail bytes Open discarded.
 	walTruncated int64
@@ -112,7 +112,8 @@ func (s *Store) Close() error {
 func (s *Store) Dir() string { return s.dir }
 
 // WALCycles returns the journaled cycles recovered at Open, in commit
-// order.
+// order, until a successful Recover has replayed them; after that it
+// returns nil.
 func (s *Store) WALCycles() []core.JournalCycle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
