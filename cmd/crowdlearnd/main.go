@@ -38,8 +38,9 @@
 // written every -checkpoint-every cycles (rotated, keeping
 // -checkpoint-retain generations), and on startup the previous process's
 // state — expert weights, bandit budget, CQC model — is recovered from
-// disk instead of re-bootstrapped. /healthz reports the last-checkpoint
-// age and /stats the recovery outcome.
+// disk instead of re-bootstrapped: the bootstrap training runs only when
+// no checkpoint restores. /healthz reports the last-checkpoint age and
+// /stats the recovery outcome.
 //
 // -campaigns N (N > 0) switches the daemon to the supervised
 // multi-campaign runtime (DESIGN.md §13): N campaigns named c00..cNN
@@ -282,7 +283,17 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	logger.Info("system bootstrapped", slog.Duration("elapsed", time.Since(started)))
+	logger.Info("system built", slog.Duration("elapsed", time.Since(started)))
+	if st == nil {
+		// Without a state directory nothing can restore the model, so
+		// train it now rather than on the first request. With one,
+		// Recover trains only when no checkpoint restores.
+		began := time.Now()
+		if err := sys.EnsureBootstrapped(); err != nil {
+			return err
+		}
+		logger.Info("bootstrap training complete", slog.Duration("elapsed", time.Since(began)))
+	}
 
 	svcOpts := []service.Option{
 		service.WithMetrics(registry),
@@ -315,6 +326,7 @@ func run(args []string, stdout io.Writer) error {
 				CheckpointsSkipped: report.CheckpointsSkipped,
 				CyclesReplayed:     report.CyclesReplayed,
 				WALTruncatedBytes:  report.WALTruncatedBytes,
+				Bootstrapped:       report.Bootstrapped,
 			}))
 	}
 	svc, err := service.New(sys, svcOpts...)

@@ -78,6 +78,8 @@ func run() error {
 	defer st2.Close()
 	// The replacement process rebuilds the same lab (same seeds) and a
 	// fresh system, then recovers the crashed process's learned state.
+	// The checkpoint restores, so the system never retrains
+	// (bootstrapped=false).
 	restored, err := lab.NewSystem()
 	if err != nil {
 		return err
@@ -90,8 +92,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recovered: outcome=%s checkpointCycles=%d walReplayed=%d nextCycle=%d\n",
-		report.Outcome, report.CheckpointCycles, report.CyclesReplayed, report.NextCycle)
+	fmt.Printf("recovered: outcome=%s checkpointCycles=%d walReplayed=%d nextCycle=%d bootstrapped=%v\n",
+		report.Outcome, report.CheckpointCycles, report.CyclesReplayed, report.NextCycle, report.Bootstrapped)
 	fmt.Printf("restored: budget left $%.2f (carried over)\n", restored.Policy().RemainingBudget())
 
 	phase2 := crowdlearn.CampaignConfig{Cycles: 20, ImagesPerCycle: 10, StartCycle: report.NextCycle}

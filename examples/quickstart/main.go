@@ -25,9 +25,10 @@ func run() error {
 		return err
 	}
 
-	// NewSystem trains the expert committee on the train split, trains
-	// the CQC quality-control model on the pilot responses, and
-	// warm-starts the incentive bandit.
+	// NewSystem bootstraps the system: the first cycle trains the
+	// expert committee on the train split, trains the CQC
+	// quality-control model on the pilot responses, and warm-starts the
+	// incentive bandit.
 	sys, err := lab.NewSystem()
 	if err != nil {
 		return err

@@ -99,3 +99,59 @@ func TestBanditStateIsDeepCopy(t *testing.T) {
 		t.Error("State must deep-copy statistics")
 	}
 }
+
+// TestWarmStartedRestoreIsFixedPoint: a warm-started policy saved and
+// rebuilt with Load must save the same bytes, and then price the pilot
+// study's rounds exactly as the original does. Bootstrap's warm start
+// reaches a restarted service only through this round trip.
+func TestWarmStartedRestoreIsFixedPoint(t *testing.T) {
+	pilot, err := crowd.RunPilot(crowd.MustNewPlatform(crowd.DefaultConfig()), mustDataset(t), crowd.DefaultPilotConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	u, err := NewUCBALP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.WarmStart(pilot)
+	var saved bytes.Buffer
+	if err := u.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), saved.Bytes()...)
+	restored, err := Load(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := restored.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), want) {
+		t.Fatal("restored warm-started policy saves different bytes")
+	}
+	for i, cell := range pilot.Cells {
+		a, aerr := u.SelectIncentive(cell.Context)
+		b, berr := restored.SelectIncentive(cell.Context)
+		if a != b || (aerr == nil) != (berr == nil) {
+			t.Fatalf("round %d: original priced %v (%v), restored %v (%v)", i, a, aerr, b, berr)
+		}
+		if aerr != nil {
+			continue
+		}
+		delay := crowd.MeanCompletionDelay(cell.Results)
+		u.Observe(cell.Context, a, delay, cfg.QueriesPerRound)
+		restored.Observe(cell.Context, b, delay, cfg.QueriesPerRound)
+	}
+	var after, restoredAfter bytes.Buffer
+	if err := u.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Save(&restoredAfter); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), restoredAfter.Bytes()) {
+		t.Error("policies diverged while pricing the pilot rounds")
+	}
+}

@@ -114,8 +114,12 @@ func TestCrowdLearnRequiresBootstrap(t *testing.T) {
 	if _, err := cl.RunCycle(CycleInput{Context: crowd.Morning, Images: f.ds.Test[:5]}); err == nil {
 		t.Error("RunCycle before Bootstrap must error")
 	}
-	if err := cl.Bootstrap(nil, nil); err == nil {
+	// Validation is not deferred with the training.
+	if err := cl.Bootstrap(nil, f.pilot); err == nil {
 		t.Error("Bootstrap with empty training set must error")
+	}
+	if cl.BootstrapPending() {
+		t.Error("a rejected Bootstrap must leave nothing pending")
 	}
 }
 

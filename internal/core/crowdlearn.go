@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/crowdlearn/crowdlearn/internal/bandit"
@@ -120,8 +121,15 @@ type CrowdLearn struct {
 	platform   CrowdPlatform
 
 	maxMemberCost time.Duration
-	bootstrapped  bool
-	replay        *replayBuffer
+	// bootMu guards the deferred bootstrap: pending holds the inputs
+	// Bootstrap recorded until the training runs or a restored
+	// checkpoint makes it unnecessary; bootErr is the training's result,
+	// returned to every later caller.
+	bootMu       sync.Mutex
+	pending      *bootstrapInputs
+	bootErr      error
+	bootstrapped bool
+	replay       *replayBuffer
 	// replaying is set while ReplayCycle re-executes a journaled cycle;
 	// it suppresses journal emission for the replayed cycle.
 	replaying bool
@@ -196,20 +204,85 @@ func New(cfg Config, platform CrowdPlatform) (*CrowdLearn, error) {
 }
 
 // Committee exposes the underlying committee (read-mostly; used by
-// experiments to inspect expert weights).
-func (cl *CrowdLearn) Committee() *qss.Committee { return cl.committee }
+// experiments to inspect expert weights). It runs a pending bootstrap
+// first.
+func (cl *CrowdLearn) Committee() *qss.Committee {
+	cl.settle()
+	return cl.committee
+}
 
-// Policy exposes the IPD policy for budget inspection.
-func (cl *CrowdLearn) Policy() *bandit.UCBALP { return cl.policy }
+// Policy exposes the IPD policy for budget inspection. It runs a
+// pending bootstrap first.
+func (cl *CrowdLearn) Policy() *bandit.UCBALP {
+	cl.settle()
+	return cl.policy
+}
+
+// bootstrapInputs are the arguments of a Bootstrap whose training has
+// not run yet.
+type bootstrapInputs struct {
+	train []*imagery.Image
+	pilot *crowd.PilotData
+}
+
+// ErrBootstrapPending is returned by SnapshotState and SaveState while
+// Bootstrap's training is still deferred: the untrained model is not
+// the state a checkpoint should carry. Call EnsureBootstrapped first.
+var ErrBootstrapPending = errors.New("core: bootstrap training has not run; call EnsureBootstrapped before checkpointing")
 
 // Bootstrap prepares the system exactly as Section V-B prescribes for the
 // training split: train the committee experts on golden labels, train CQC
 // on the pilot-study responses, and warm-start the IPD bandit from the
 // pilot delays.
+//
+// The training is deferred. Bootstrap validates and records its inputs;
+// the training runs once, at the first call that needs a trained model:
+// BeginCycle, RunCycle, AssessDegraded, ReplayCycle, the Committee,
+// Policy, ExpertWeights and RemainingBudget accessors, or
+// EnsureBootstrapped. Restoring a checkpoint written by a bootstrapped
+// system cancels it, because the checkpoint carries every byte the
+// training produces — a restarted service does not train a model that
+// recovery would overwrite.
 func (cl *CrowdLearn) Bootstrap(train []*imagery.Image, pilot *crowd.PilotData) error {
 	if len(train) == 0 {
 		return errors.New("core: empty training set")
 	}
+	cl.bootMu.Lock()
+	defer cl.bootMu.Unlock()
+	cl.pending = &bootstrapInputs{train: train, pilot: pilot}
+	cl.bootErr = nil
+	return nil
+}
+
+// BootstrapPending reports whether a Bootstrap's training is still
+// deferred.
+func (cl *CrowdLearn) BootstrapPending() bool {
+	cl.bootMu.Lock()
+	defer cl.bootMu.Unlock()
+	return cl.pending != nil
+}
+
+// EnsureBootstrapped runs the training a Bootstrap deferred, if it has
+// not run yet, and returns its error. Concurrent callers train once:
+// the rest wait for the first and share its result. A system with
+// nothing pending returns the last training's error (nil if none ran).
+func (cl *CrowdLearn) EnsureBootstrapped() error {
+	cl.bootMu.Lock()
+	defer cl.bootMu.Unlock()
+	if p := cl.pending; p != nil {
+		cl.pending = nil
+		cl.bootErr = cl.train(p.train, p.pilot)
+	}
+	return cl.bootErr
+}
+
+// settle runs a pending bootstrap for an accessor that cannot return
+// its error; a failed training surfaces from the next cycle instead.
+func (cl *CrowdLearn) settle() { _ = cl.EnsureBootstrapped() }
+
+// train is the bootstrap training itself. Its steps and their order fix
+// where every seeded stream starts, so they must not change.
+func (cl *CrowdLearn) train(train []*imagery.Image, pilot *crowd.PilotData) error {
 	trainSamples := classifier.SamplesFromImages(train)
 	if err := cl.committee.Train(trainSamples); err != nil {
 		return err
@@ -308,8 +381,8 @@ func (cl *CrowdLearn) beginCycle(in CycleInput, detach bool) (CycleOutput, *Cycl
 	if err := in.Validate(); err != nil {
 		return CycleOutput{}, nil, err
 	}
-	if !cl.bootstrapped {
-		return CycleOutput{}, nil, errors.New("core: CrowdLearn not bootstrapped")
+	if err := cl.readyErr(); err != nil {
+		return CycleOutput{}, nil, err
 	}
 	ct := cl.cfg.Tracer.Begin(in.Index, in.Context.String())
 	for _, a := range in.Attrs {
@@ -403,6 +476,18 @@ func (cl *CrowdLearn) beginCycle(in CycleInput, detach bool) (CycleOutput, *Cycl
 	}}, nil
 }
 
+// readyErr runs a pending bootstrap and reports whether the system has
+// a trained model to assess with.
+func (cl *CrowdLearn) readyErr() error {
+	if err := cl.EnsureBootstrapped(); err != nil {
+		return fmt.Errorf("core: bootstrap: %w", err)
+	}
+	if !cl.bootstrapped {
+		return errors.New("core: CrowdLearn not bootstrapped")
+	}
+	return nil
+}
+
 var _ DegradedAssessor = (*CrowdLearn)(nil)
 
 // AssessDegraded implements DegradedAssessor: the overload-shedding
@@ -415,8 +500,8 @@ func (cl *CrowdLearn) AssessDegraded(in CycleInput) (CycleOutput, error) {
 	if err := in.Validate(); err != nil {
 		return CycleOutput{}, err
 	}
-	if !cl.bootstrapped {
-		return CycleOutput{}, errors.New("core: CrowdLearn not bootstrapped")
+	if err := cl.readyErr(); err != nil {
+		return CycleOutput{}, err
 	}
 	out := CycleOutput{
 		Distributions: make([][]float64, len(in.Images)),

@@ -204,7 +204,8 @@ func (p *replayPlatform) Spent() float64 {
 // bandit accounting, CQC aggregation, retraining) the original cycle
 // performed. registry maps image IDs to the live image objects. With
 // resync set the live platform is advanced through the recorded
-// interactions as a side effect (see replayPlatform).
+// interactions as a side effect (see replayPlatform). A pending
+// bootstrap runs before the replayed cycle.
 func (cl *CrowdLearn) ReplayCycle(rec JournalCycle, registry map[int]*imagery.Image, resync bool) error {
 	images := make([]*imagery.Image, len(rec.ImageIDs))
 	for i, id := range rec.ImageIDs {

@@ -151,9 +151,11 @@ func (cl *CrowdLearn) observeCycle(in CycleInput, out CycleOutput) {
 }
 
 // ExpertWeights returns the committee's current weights keyed by expert
-// name. Callers must not invoke it concurrently with RunCycle (the
-// service layer snapshots it on the worker goroutine).
+// name, running a pending bootstrap first. Callers must not invoke it
+// concurrently with RunCycle (the service layer snapshots it on the
+// worker goroutine).
 func (cl *CrowdLearn) ExpertWeights() map[string]float64 {
+	cl.settle()
 	weights := cl.committee.Weights()
 	out := make(map[string]float64, len(weights))
 	for i, e := range cl.committee.Experts() {
@@ -162,5 +164,9 @@ func (cl *CrowdLearn) ExpertWeights() map[string]float64 {
 	return out
 }
 
-// RemainingBudget returns the IPD policy's unspent budget in dollars.
-func (cl *CrowdLearn) RemainingBudget() float64 { return cl.policy.RemainingBudget() }
+// RemainingBudget returns the IPD policy's unspent budget in dollars,
+// running a pending bootstrap first.
+func (cl *CrowdLearn) RemainingBudget() float64 {
+	cl.settle()
+	return cl.policy.RemainingBudget()
+}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
@@ -25,17 +26,25 @@ func (j *captureJournal) CycleCommitted(rec core.JournalCycle) error {
 
 // restoreLab is the daemon's default lab with the IPD budget stretched
 // over a 100,000-round horizon at the default $0.50 a round, as the
-// serving benchmark sizes it.
+// serving benchmark sizes it. It is read-only, so it is built once.
+var (
+	restoreLabOnce sync.Once
+	restoreLabEnv  *experiments.Env
+	restoreLabErr  error
+)
+
 func restoreLab(t *testing.T) *experiments.Env {
 	t.Helper()
-	cfg := experiments.DefaultConfig()
-	cfg.Campaign.Cycles = 100_000
-	cfg.BudgetDollars = 0.5 * 100_000
-	lab, err := experiments.NewEnv(cfg)
-	if err != nil {
-		t.Fatal(err)
+	restoreLabOnce.Do(func() {
+		cfg := experiments.DefaultConfig()
+		cfg.Campaign.Cycles = 100_000
+		cfg.BudgetDollars = 0.5 * 100_000
+		restoreLabEnv, restoreLabErr = experiments.NewEnv(cfg)
+	})
+	if restoreLabErr != nil {
+		t.Fatal(restoreLabErr)
 	}
-	return lab
+	return restoreLabEnv
 }
 
 // requestStream returns n cycle inputs of a seeded request sequence:
@@ -69,33 +78,39 @@ func saveState(t *testing.T, cl *core.CrowdLearn) []byte {
 	return buf.Bytes()
 }
 
-// checkRestoreFixedPoint runs the request sequence of seed for
-// checkpointAt cycles, checkpoints, restores the checkpoint into a fresh
-// system (resyncing its crowd platform from the journal), and requires
-// the restored system to save byte-identical state and then answer the
-// next `more` cycles exactly as the uninterrupted system does.
-func checkRestoreFixedPoint(t *testing.T, seed int64, checkpointAt, more int) {
-	lab := restoreLab(t)
-	journal := &captureJournal{}
-	orig, err := lab.NewSystemWith(func(c *core.Config) { c.Journal = journal })
+// pendingSystem builds a bootstrapped system whose deferred training
+// has not run, with journal attached when non-nil.
+func pendingSystem(t *testing.T, lab *experiments.Env, journal core.CycleJournal) *core.CrowdLearn {
+	t.Helper()
+	sys, err := lab.NewSystemWith(func(c *core.Config) { c.Journal = journal })
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := requestStream(seed, lab.Dataset.Test, checkpointAt+more)
-	for _, in := range inputs[:checkpointAt] {
-		if _, err := orig.RunCycle(in); err != nil {
-			t.Fatal(err)
-		}
+	if !sys.BootstrapPending() {
+		t.Fatal("a newly built system must defer its bootstrap training")
 	}
-	checkpoint := saveState(t, orig)
+	return sys
+}
 
-	restored, err := lab.NewSystem()
-	if err != nil {
+func restoreInto(t *testing.T, lab *experiments.Env, sys *core.CrowdLearn, checkpoint []byte) {
+	t.Helper()
+	if err := sys.RestoreState(bytes.NewReader(checkpoint), classifier.SamplesFromImages(lab.Dataset.Train)); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(bytes.NewReader(checkpoint), classifier.SamplesFromImages(lab.Dataset.Train)); err != nil {
-		t.Fatal(err)
+	if sys.BootstrapPending() {
+		t.Fatal("restoring a bootstrapped checkpoint left the training pending")
 	}
+}
+
+// checkRestoredMatches restores orig's checkpoint into a system that
+// never trained, resyncs its crowd platform from the journal, and
+// requires it to save byte-identical state and then answer next
+// exactly as orig does, ending in identical state.
+func checkRestoredMatches(t *testing.T, lab *experiments.Env, seed int64, orig *core.CrowdLearn, journal *captureJournal, next []core.CycleInput) {
+	t.Helper()
+	checkpoint := saveState(t, orig)
+	restored := pendingSystem(t, lab, nil)
+	restoreInto(t, lab, restored, checkpoint)
 	registry := make(map[int]*imagery.Image, len(lab.Dataset.Test))
 	for _, im := range lab.Dataset.Test {
 		registry[im.ID] = im
@@ -109,7 +124,7 @@ func checkRestoreFixedPoint(t *testing.T, seed int64, checkpointAt, more int) {
 		t.Fatalf("seed %d: state saved after restore differs from the checkpoint (weights %v, saved %v)",
 			seed, restored.Committee().Weights(), orig.Committee().Weights())
 	}
-	for _, in := range inputs[checkpointAt:] {
+	for _, in := range next {
 		want, err := orig.RunCycle(in)
 		if err != nil {
 			t.Fatal(err)
@@ -123,8 +138,25 @@ func checkRestoreFixedPoint(t *testing.T, seed int64, checkpointAt, more int) {
 		}
 	}
 	if !bytes.Equal(saveState(t, restored), saveState(t, orig)) {
-		t.Fatalf("seed %d: state after %d more cycles differs from the uninterrupted system", seed, more)
+		t.Fatalf("seed %d: state after %d more cycles differs from the uninterrupted system", seed, len(next))
 	}
+}
+
+// checkRestoreFixedPoint runs the request sequence of seed for
+// checkpointAt cycles on a system that trained, checkpoints, and checks
+// the checkpoint restores into a system that never trained and then
+// answers the next `more` cycles exactly as the uninterrupted system.
+func checkRestoreFixedPoint(t *testing.T, seed int64, checkpointAt, more int) {
+	lab := restoreLab(t)
+	journal := &captureJournal{}
+	orig := pendingSystem(t, lab, journal)
+	inputs := requestStream(seed, lab.Dataset.Test, checkpointAt+more)
+	for _, in := range inputs[:checkpointAt] {
+		if _, err := orig.RunCycle(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRestoredMatches(t, lab, seed, orig, journal, inputs[checkpointAt:])
 }
 
 // The two request sequences on which restoring committee weights through
@@ -135,3 +167,32 @@ func checkRestoreFixedPoint(t *testing.T, seed int64, checkpointAt, more int) {
 func TestRestoreFixedPointSeed102(t *testing.T) { checkRestoreFixedPoint(t, 102, 32, 24) }
 
 func TestRestoreFixedPointSeed410(t *testing.T) { checkRestoreFixedPoint(t, 410, 32, 24) }
+
+// TestRestoreFixedPointAcrossSeeds checks restore as a fixed point over
+// 50 request sequences, each run for a seeded 1–6 cycles and followed
+// by 2 more. Bootstrap trains once: every sequence starts from one
+// shared bootstrapped checkpoint restored into an untrained system, so
+// the property also covers the claim recovery rests on — a checkpoint
+// carries every byte the bootstrap training produces.
+func TestRestoreFixedPointAcrossSeeds(t *testing.T) {
+	const seeds, follow = 50, 2
+	lab := restoreLab(t)
+	boot := pendingSystem(t, lab, nil)
+	if err := boot.EnsureBootstrapped(); err != nil {
+		t.Fatal(err)
+	}
+	bootState := saveState(t, boot)
+	for seed := int64(1); seed <= seeds; seed++ {
+		cycles := 1 + mathx.NewRand(seed+7_919).Intn(6)
+		journal := &captureJournal{}
+		orig := pendingSystem(t, lab, journal)
+		restoreInto(t, lab, orig, bootState)
+		inputs := requestStream(seed, lab.Dataset.Test, cycles+follow)
+		for _, in := range inputs[:cycles] {
+			if _, err := orig.RunCycle(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkRestoredMatches(t, lab, seed, orig, journal, inputs[cycles:])
+	}
+}

@@ -65,10 +65,23 @@ type StateSnapshot struct {
 
 // SnapshotState captures the system's learned state synchronously and
 // returns it for deferred encoding. SaveState is exactly
-// SnapshotState followed by Encode; the bytes are identical.
+// SnapshotState followed by Encode; the bytes are identical. While a
+// Bootstrap's training is deferred it returns ErrBootstrapPending: it
+// never trains, so checkpointing stays off the training path.
 func (cl *CrowdLearn) SnapshotState() (*StateSnapshot, error) {
-	// The replay buffer only exists once Bootstrap has run; an
-	// unbootstrapped system checkpoints an empty buffer at position 0.
+	if cl.BootstrapPending() {
+		return nil, ErrBootstrapPending
+	}
+	return cl.snapshot()
+}
+
+// snapshot is SnapshotState without the pending-bootstrap check:
+// RestoreState takes its rollback copy of an untrained system through
+// it.
+func (cl *CrowdLearn) snapshot() (*StateSnapshot, error) {
+	// The replay buffer only exists once the bootstrap training or a
+	// restore has run; an untrained system checkpoints an empty buffer
+	// at position 0.
 	var acquired []classifier.Sample
 	var replayPos uint64
 	if cl.replay != nil {
@@ -114,7 +127,8 @@ func (sn *StateSnapshot) Encode(w io.Writer) error {
 // SaveState checkpoints the system's learned state to w. The output is
 // byte-deterministic: two saves of identical systems produce identical
 // bytes, which is what lets recovery tests compare states with a plain
-// byte comparison.
+// byte comparison. Like SnapshotState it fails with
+// ErrBootstrapPending while a Bootstrap's training is deferred.
 func (cl *CrowdLearn) SaveState(w io.Writer) error {
 	sn, err := cl.SnapshotState()
 	if err != nil {
@@ -134,6 +148,11 @@ func (cl *CrowdLearn) SaveState(w io.Writer) error {
 // structure) before anything is mutated. If applying a validated
 // checkpoint fails partway, the system is rolled back to its prior
 // state — RestoreState never leaves a half-restored system behind.
+//
+// RestoreState never runs a pending bootstrap. A checkpoint written by
+// a bootstrapped system carries every byte the training would produce,
+// so restoring one cancels the pending training; any other checkpoint,
+// and any failed restore, leaves it pending.
 func (cl *CrowdLearn) RestoreState(r io.Reader, trainSamples []classifier.Sample) error {
 	var s systemState
 	if err := gob.NewDecoder(io.LimitReader(r, MaxStateBytes)).Decode(&s); err != nil {
@@ -144,8 +163,14 @@ func (cl *CrowdLearn) RestoreState(r io.Reader, trainSamples []classifier.Sample
 	}
 	// Snapshot the live state so a failure while applying expert or CQC
 	// payloads (each is an independently decoded gob blob) can be undone.
+	// A pending system's untrained state is as good a rollback target as
+	// a trained one's, so this goes round SnapshotState's pending check.
+	prior, err := cl.snapshot()
+	if err != nil {
+		return fmt.Errorf("core: restore state: snapshot for rollback: %w", err)
+	}
 	var undo bytes.Buffer
-	if err := cl.SaveState(&undo); err != nil {
+	if err := prior.Encode(&undo); err != nil {
 		return fmt.Errorf("core: restore state: snapshot for rollback: %w", err)
 	}
 	if err := cl.applyState(&s, trainSamples); err != nil {
@@ -157,6 +182,11 @@ func (cl *CrowdLearn) RestoreState(r io.Reader, trainSamples []classifier.Sample
 			}
 		}
 		return fmt.Errorf("core: restore state: %w (rollback also failed — state undefined)", err)
+	}
+	if s.Bootstrapped {
+		cl.bootMu.Lock()
+		cl.pending, cl.bootErr = nil, nil
+		cl.bootMu.Unlock()
 	}
 	return nil
 }

@@ -91,6 +91,11 @@ func TestRestoreStateRejectsGarbage(t *testing.T) {
 func TestRestoreStateMissingExpert(t *testing.T) {
 	f := sharedFixture(t)
 	cl := newBootstrappedCrowdLearn(t, f)
+	// A never-cycled system checkpoints only once its deferred
+	// bootstrap training has run.
+	if err := cl.EnsureBootstrapped(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := cl.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -115,6 +120,9 @@ func TestRestoreStateMissingExpert(t *testing.T) {
 func TestRestoreStateRejectsIncompatibleConfig(t *testing.T) {
 	f := sharedFixture(t)
 	cl := newBootstrappedCrowdLearn(t, f)
+	if err := cl.EnsureBootstrapped(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := cl.SaveState(&buf); err != nil {
 		t.Fatal(err)

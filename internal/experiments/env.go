@@ -109,7 +109,9 @@ func (e *Env) banditConfig(querySize int, budget float64) bandit.Config {
 
 // NewSystem assembles a bootstrapped CrowdLearn system with the
 // environment's configured query size and budget — the one-call path for
-// library users who want the paper's default deployment.
+// library users who want the paper's default deployment. Its bootstrap
+// training is deferred to first use (core.CrowdLearn.Bootstrap), so a
+// system that store.Recover restores from a checkpoint never trains.
 func (e *Env) NewSystem() (*core.CrowdLearn, error) {
 	return e.newCrowdLearn(e.Cfg.QuerySize, e.Cfg.BudgetDollars, nil)
 }

@@ -132,6 +132,9 @@ type RecoveryStatus struct {
 	CyclesReplayed int `json:"cyclesReplayed"`
 	// WALTruncatedBytes is the torn log tail dropped at startup.
 	WALTruncatedBytes int64 `json:"walTruncatedBytes"`
+	// Bootstrapped is true when no checkpoint restored and recovery ran
+	// the bootstrap training.
+	Bootstrapped bool `json:"bootstrapped"`
 }
 
 // Observable is the optional telemetry surface a scheme may implement
@@ -324,7 +327,9 @@ func WithCheckpointAge(age func() (time.Duration, bool)) Option {
 	return func(s *Service) { s.checkpointAge = age }
 }
 
-// New wraps a scheme. The scheme must already be trained/bootstrapped.
+// New wraps a scheme. The scheme must already be bootstrapped; a
+// core.CrowdLearn whose training is still deferred runs it here, when
+// New reads its weights and budget.
 func New(scheme core.Scheme, opts ...Option) (*Service, error) {
 	if scheme == nil {
 		return nil, errors.New("service: nil scheme")

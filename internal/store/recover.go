@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"time"
 
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/core"
@@ -15,7 +16,7 @@ import (
 // crowdlearn_recovery_outcome metric.
 const (
 	// OutcomeFresh: the state directory held no usable state; the
-	// freshly bootstrapped system stands as-is.
+	// system starts from its bootstrap training, run by Recover.
 	OutcomeFresh = "fresh"
 	// OutcomeCheckpoint: a checkpoint restored and no WAL cycles
 	// followed it.
@@ -24,11 +25,11 @@ const (
 	// replayed on top.
 	OutcomeCheckpointWAL = "checkpoint+wal"
 	// OutcomeWAL: no usable checkpoint, but WAL cycles replayed over
-	// the bootstrap state.
+	// the bootstrap state Recover trained.
 	OutcomeWAL = "wal"
 	// OutcomeBootstrapFallback: checkpoint files existed but every one
-	// was corrupt; recovery fell back to the bootstrap state (plus any
-	// WAL replay) instead of crashing.
+	// was corrupt; recovery fell back to the bootstrap state it trained
+	// (plus any WAL replay) instead of crashing.
 	OutcomeBootstrapFallback = "bootstrap-fallback"
 )
 
@@ -72,14 +73,20 @@ type RecoveryReport struct {
 	WALTruncatedBytes int64 `json:"walTruncatedBytes"`
 	// NextCycle is the index the next sensing cycle should use.
 	NextCycle int `json:"nextCycle"`
+	// Bootstrapped reports that Recover ran the system's deferred
+	// bootstrap training because no checkpoint restored.
+	Bootstrapped bool `json:"bootstrapped"`
 }
 
 // Recover restores sys to the newest durable state in the directory:
 // it scans checkpoints newest→oldest skipping any that fail their
 // checksum, restores the first good one, then deterministically
 // re-applies the WAL records beyond it via core.ReplayCycle. sys must
-// be freshly bootstrapped with the same configuration, dataset and
-// seeds as the process that wrote the state. Corrupt state never
+// be newly built and bootstrapped (its training still deferred) with
+// the same configuration, dataset and seeds as the process that wrote
+// the state. A restored checkpoint cancels the deferred training; when
+// none restores, Recover runs the training before any WAL replay, so
+// every outcome returns a trained system. Corrupt state never
 // aborts recovery — the report says what was skipped — but a WAL
 // record that cannot be replayed (e.g. it references images absent
 // from the registry) is a hard error, because silently dropping a
@@ -119,6 +126,14 @@ func (s *Store) Recover(sys *core.CrowdLearn, opts RecoverOptions) (*RecoveryRep
 	if report.CheckpointCycles < 0 && len(infos) > 0 {
 		logger.Warn("no usable checkpoint; continuing from bootstrap state",
 			slog.Int("corruptCheckpoints", report.CheckpointsSkipped))
+	}
+	if sys.BootstrapPending() {
+		began := time.Now()
+		if err := sys.EnsureBootstrapped(); err != nil {
+			return report, fmt.Errorf("store: recover: %w", err)
+		}
+		report.Bootstrapped = true
+		logger.Info("bootstrap training complete", slog.Duration("elapsed", time.Since(began)))
 	}
 
 	registry := make(map[int]*imagery.Image, len(opts.Registry))
@@ -172,7 +187,8 @@ func (s *Store) Recover(sys *core.CrowdLearn, opts RecoverOptions) (*RecoveryRep
 		slog.Int("checkpointsSkipped", report.CheckpointsSkipped),
 		slog.Int("cyclesReplayed", report.CyclesReplayed),
 		slog.Int("cyclesResynced", report.CyclesResynced),
-		slog.Int("nextCycle", report.NextCycle))
+		slog.Int("nextCycle", report.NextCycle),
+		slog.Bool("bootstrapped", report.Bootstrapped))
 	return report, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/core"
+	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/experiments"
 )
 
@@ -143,6 +144,9 @@ func crashAndRecover(t *testing.T, opts Options, every int) ([]byte, *RecoveryRe
 	if report.NextCycle != cyclesBeforeCrash {
 		t.Fatalf("recovery resumes at cycle %d, want %d", report.NextCycle, cyclesBeforeCrash)
 	}
+	if restored.BootstrapPending() {
+		t.Fatal("recovery returned a system whose bootstrap training is still pending")
+	}
 	if n := len(st2.WALCycles()); n != 0 {
 		t.Errorf("store still holds %d WAL records after recovery replayed them", n)
 	}
@@ -162,7 +166,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	if report.Outcome != OutcomeCheckpointWAL {
 		t.Errorf("outcome %q, want %q", report.Outcome, OutcomeCheckpointWAL)
 	}
-	if report.CheckpointCycles != 4 || report.CyclesReplayed != 2 || report.CyclesResynced != 4 {
+	if report.CheckpointCycles != 4 || report.CyclesReplayed != 2 || report.CyclesResynced != 4 || report.Bootstrapped {
 		t.Errorf("report %+v", report)
 	}
 	if !bytes.Equal(got, want) {
@@ -179,7 +183,7 @@ func TestCrashRecoveryFromWALOnly(t *testing.T) {
 	if report.Outcome != OutcomeWAL {
 		t.Errorf("outcome %q, want %q", report.Outcome, OutcomeWAL)
 	}
-	if report.CheckpointCycles != -1 || report.CyclesReplayed != cyclesBeforeCrash {
+	if report.CheckpointCycles != -1 || report.CyclesReplayed != cyclesBeforeCrash || !report.Bootstrapped {
 		t.Errorf("report %+v", report)
 	}
 	if !bytes.Equal(got, want) {
@@ -198,7 +202,7 @@ func TestCrashRecoveryAllCheckpointsTorn(t *testing.T) {
 	if report.Outcome != OutcomeBootstrapFallback {
 		t.Errorf("outcome %q, want %q", report.Outcome, OutcomeBootstrapFallback)
 	}
-	if report.CheckpointsSkipped == 0 || report.CheckpointCycles != -1 {
+	if report.CheckpointsSkipped == 0 || report.CheckpointCycles != -1 || !report.Bootstrapped {
 		t.Errorf("report %+v", report)
 	}
 	if report.CyclesReplayed != cyclesBeforeCrash {
@@ -255,7 +259,7 @@ func TestCrashRecoverySkipsCorruptNewestCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.CheckpointsSkipped != 1 || report.CheckpointCycles != 4 || report.CyclesReplayed != 2 {
+	if report.CheckpointsSkipped != 1 || report.CheckpointCycles != 4 || report.CyclesReplayed != 2 || report.Bootstrapped {
 		t.Fatalf("report %+v", report)
 	}
 	runCycles(t, restored, env, cyclesBeforeCrash, cyclesAfterCrash)
@@ -264,8 +268,23 @@ func TestCrashRecoverySkipsCorruptNewestCheckpoint(t *testing.T) {
 	}
 }
 
+// bootstrappedState is the checkpoint of a never-cycled system whose
+// bootstrap training has run: the state a fresh or fallback recovery
+// must leave behind.
+func bootstrappedState(t *testing.T, env *experiments.Env) []byte {
+	t.Helper()
+	twin, err := env.NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.EnsureBootstrapped(); err != nil {
+		t.Fatal(err)
+	}
+	return stateBytes(t, twin)
+}
+
 // TestRecoverEmptyDirIsFresh: recovering against an empty state
-// directory is a no-op on the freshly bootstrapped system.
+// directory runs the bootstrap training and nothing else.
 func TestRecoverEmptyDirIsFresh(t *testing.T) {
 	env := testEnv(t)
 	st, err := Open(Options{Dir: t.TempDir()})
@@ -277,16 +296,16 @@ func TestRecoverEmptyDirIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := stateBytes(t, sys)
+	before := bootstrappedState(t, env)
 	report, err := st.Recover(sys, recoverOpts(env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Outcome != OutcomeFresh || report.CheckpointCycles != -1 || report.NextCycle != 0 {
+	if report.Outcome != OutcomeFresh || report.CheckpointCycles != -1 || report.NextCycle != 0 || !report.Bootstrapped {
 		t.Errorf("report %+v", report)
 	}
 	if !bytes.Equal(before, stateBytes(t, sys)) {
-		t.Error("fresh recovery mutated the system")
+		t.Error("fresh recovery left other than the bootstrap state")
 	}
 }
 
@@ -310,16 +329,16 @@ func TestRecoverGarbageCheckpointsFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := stateBytes(t, sys)
+	before := bootstrappedState(t, env)
 	report, err := st.Recover(sys, recoverOpts(env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Outcome != OutcomeBootstrapFallback || report.CheckpointsSkipped != 2 || report.NextCycle != 0 {
+	if report.Outcome != OutcomeBootstrapFallback || report.CheckpointsSkipped != 2 || report.NextCycle != 0 || !report.Bootstrapped {
 		t.Errorf("report %+v", report)
 	}
 	if !bytes.Equal(before, stateBytes(t, sys)) {
-		t.Error("fallback recovery mutated the system")
+		t.Error("fallback recovery left other than the bootstrap state")
 	}
 }
 
@@ -379,5 +398,43 @@ func TestRecoverJournalGapFails(t *testing.T) {
 	_, err = st2.Recover(sys, recoverOpts(env))
 	if err == nil || !strings.Contains(err.Error(), "journal gap") {
 		t.Errorf("journal gap gave %v", err)
+	}
+}
+
+// TestRecoverTrainsBeforeReplay: with no checkpoint, Recover runs the
+// deferred bootstrap training before it replays the WAL. The training
+// here is set up to fail, and the record names an image the registry
+// lacks: had replay come first, Recover would report the image.
+func TestRecoverTrainsBeforeReplay(t *testing.T) {
+	env := testEnv(t)
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendCycle(core.JournalCycle{Index: 0, ImageIDs: []int{424242}}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	sys, err := env.NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pilot study with no responses fails CQC's training.
+	if err := sys.Bootstrap(env.Dataset.Train, &crowd.PilotData{}); err != nil {
+		t.Fatal(err)
+	}
+	report, err := st2.Recover(sys, recoverOpts(env))
+	if err == nil || !strings.Contains(err.Error(), "cqc") || strings.Contains(err.Error(), "424242") {
+		t.Fatalf("recovery gave %v, want the training error", err)
+	}
+	if report.CyclesReplayed != 0 || report.Bootstrapped {
+		t.Errorf("report %+v", report)
 	}
 }
