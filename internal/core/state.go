@@ -8,6 +8,8 @@ import (
 
 	"github.com/crowdlearn/crowdlearn/internal/bandit"
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
+	"github.com/crowdlearn/crowdlearn/internal/cqc"
+	"github.com/crowdlearn/crowdlearn/internal/imagery"
 )
 
 // MaxStateBytes bounds how much RestoreState will read: a checkpoint
@@ -49,6 +51,31 @@ type systemState struct {
 	// payloads so a checkpoint is self-contained.
 	ReplayAcquired []classifier.Sample
 	ReplayRNGPos   uint64
+}
+
+// Gob writes a process-wide id for each type into every stream that
+// uses it, and hands the ids out in the order the process first encodes
+// each type. Left to itself, a fresh process recovering a state
+// directory first encodes the experts (RestoreState's rollback copy),
+// while the process that wrote the directory first encoded a WAL record,
+// so the two saved the same state to different bytes. Encoding every
+// persisted type once at init fixes the ids for the life of the process,
+// whatever it encodes later. The order is the one in which a process
+// writing its first cycles meets the types: WAL record, expert blob,
+// CQC blob, system envelope; so those processes save the same bytes as
+// before.
+func init() {
+	expert := classifier.NewBoVW(imagery.DefaultDims, classifier.Options{}).(classifier.PersistentExpert)
+	for _, save := range []func(io.Writer) error{
+		func(w io.Writer) error { return gob.NewEncoder(w).Encode(JournalCycle{}) },
+		expert.SaveState,
+		cqc.New(cqc.Config{}).SaveState,
+		func(w io.Writer) error { return gob.NewEncoder(w).Encode(systemState{}) },
+	} {
+		if err := save(io.Discard); err != nil {
+			panic(fmt.Sprintf("core: register checkpoint types with gob: %v", err))
+		}
+	}
 }
 
 // StateSnapshot is a captured copy of the system's learned state,

@@ -1,6 +1,9 @@
 package neural
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func BenchmarkPredict(b *testing.B) {
 	cfg := DefaultConfig()
@@ -31,6 +34,39 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		if _, err := n.Train(examples); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAccumulate times the gradient fold of one 16-example
+// minibatch on the ddm expert's shape, with half of every delta row
+// zero, as behind dead ReLU units.
+func BenchmarkAccumulate(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Hidden = []int{48, 24}
+	n := MustNew(16, 3, cfg)
+	rng := rand.New(rand.NewSource(1))
+	stages := make([]exampleStage, cfg.BatchSize)
+	for p := range stages {
+		stages[p] = n.newExampleStage()
+		stages[p].acts[0] = make([]float64, n.inDim)
+		for _, a := range stages[p].acts {
+			for i := range a {
+				a[i] = rng.NormFloat64()
+			}
+		}
+		for _, d := range stages[p].deltas {
+			for i := range d {
+				if rng.Intn(2) == 0 {
+					d[i] = rng.NormFloat64()
+				}
+			}
+		}
+	}
+	ts := n.takeTrainScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.accumulate(ts, stages)
 	}
 }
 

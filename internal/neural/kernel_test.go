@@ -137,6 +137,18 @@ func TestKernelsMatchReferenceLoops(t *testing.T) {
 		for i := range l.b {
 			l.b[i] = draw()
 		}
+		// Rows of signed-zero weights: with finite inputs the row sum is
+		// +0, so z = b + 0 is +0 for a bias of ±0 and NaN for a NaN
+		// bias, pre-activations the ReLU mask must pass through exactly
+		// as the branch did.
+		for o := 0; o < out; o++ {
+			if rng.Intn(3) == 0 {
+				for i := range l.w[o*in : (o+1)*in] {
+					l.w[o*in+i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+				}
+				l.b[o] = []float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN()}[rng.Intn(4)]
+			}
+		}
 		x := make([]float64, in)
 		for i := range x {
 			x[i] = draw()
@@ -171,18 +183,43 @@ func TestKernelsMatchReferenceLoops(t *testing.T) {
 	}
 }
 
+// TestReLUMasksMatchBranches checks the branch-free ReLU and its
+// derivative against the branches they replaced on every special value,
+// including -0, which a forward pass never produces (its sums start at
+// +0) but the activation must still pass through unchanged.
+func TestReLUMasksMatchBranches(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	values := []float64{0, math.Copysign(0, -1), math.NaN(), negNaN, math.Inf(1), math.Inf(-1),
+		1, -1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	for _, v := range values {
+		if got, want := relu(v), ReLU.apply(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("relu(%v) = %v (%#x), branch gives %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := reluGrad(v), ReLU.derivative(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("reluGrad(%v) = %v, branch gives %v", v, got, want)
+		}
+	}
+}
+
 // TestAccumulateMatchesReferenceLoop checks the batch-blocked gradient
 // accumulation against the per-example reference loop on random
 // networks and batch sizes, with staged deltas that include signed
-// zeros (skipped) and non-finite values, starting from nonzero
-// accumulators.
+// zeros (skipped), whole rows of ±0 and non-finite values, starting
+// from nonzero accumulators. One scratch set serves every trial, so
+// its compaction buffers start empty and grow as batches of up to 130
+// examples arrive.
 func TestAccumulateMatchesReferenceLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	ts := &trainScratch{}
+	grown := 0
 	for trial := 0; trial < 300; trial++ {
 		cfg := DefaultConfig()
 		cfg.Hidden = []int{1 + rng.Intn(9), 1 + rng.Intn(9)}[:1+rng.Intn(2)]
 		n := MustNew(1+rng.Intn(9), 2+rng.Intn(3), cfg)
 		batch := 1 + rng.Intn(19)
+		if trial%4 == 3 {
+			batch = 1 + rng.Intn(130)
+		}
 		stages := make([]exampleStage, batch)
 		for p := range stages {
 			stages[p] = n.newExampleStage()
@@ -202,6 +239,15 @@ func TestAccumulateMatchesReferenceLoop(t *testing.T) {
 				}
 			}
 		}
+		for li, l := range n.layers { // rows no example contributes to
+			for o := 0; o < l.out; o++ {
+				if rng.Intn(6) == 0 {
+					for p := range stages {
+						stages[p].deltas[li][o] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+					}
+				}
+			}
+		}
 		grads := func() []layerGrads {
 			gs := make([]layerGrads, len(n.layers))
 			r := rand.New(rand.NewSource(int64(trial)))
@@ -217,7 +263,11 @@ func TestAccumulateMatchesReferenceLoop(t *testing.T) {
 		for p := range stages {
 			refAccumulate(n, want, &stages[p])
 		}
-		n.accumulate(got, stages)
+		if len(ts.nz) < batch {
+			grown++
+		}
+		ts.gs = got
+		n.accumulate(ts, stages)
 		for li := range want {
 			if i := sameBits(want[li].gw, got[li].gw); i >= 0 {
 				t.Fatalf("trial %d layer %d: gw[%d] = %v, reference %v", trial, li, i, got[li].gw[i], want[li].gw[i])
@@ -226,5 +276,8 @@ func TestAccumulateMatchesReferenceLoop(t *testing.T) {
 				t.Fatalf("trial %d layer %d: gb[%d] = %v, reference %v", trial, li, i, got[li].gb[i], want[li].gb[i])
 			}
 		}
+	}
+	if grown < 3 || len(ts.nz) <= 64 {
+		t.Fatalf("compaction buffer grew %d times to %d; the trials should grow it past 64 several times", grown, len(ts.nz))
 	}
 }

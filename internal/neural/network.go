@@ -95,9 +95,7 @@ func (l *layer) forward(in, out []float64) {
 	switch l.act {
 	case ReLU:
 		for o, z := range out {
-			if z < 0 {
-				out[o] = 0
-			}
+			out[o] = relu(z)
 		}
 	case Tanh:
 		for o, z := range out {
@@ -149,11 +147,7 @@ func (l *layer) backward(delta, newDelta, inAct []float64, prev Activation) {
 	switch prev {
 	case ReLU:
 		for i, y := range inAct {
-			var g float64
-			if y > 0 {
-				g = 1
-			}
-			newDelta[i] *= g
+			newDelta[i] *= reluGrad(y)
 		}
 	case Tanh:
 		for i, y := range inAct {
@@ -426,6 +420,13 @@ type trainScratch struct {
 	// mathx.PermInto so the checkpointed stream position
 	// (State.RNGDraws) advances exactly as with rand.Perm.
 	order []int
+	// dt holds one layer's minibatch deltas batch-major; nz and nzd
+	// are one output row's compacted batch positions with a nonzero
+	// delta and those deltas (accumulate). All grow to the largest
+	// batch seen.
+	dt  []float64
+	nz  []int
+	nzd []float64
 }
 
 func (n *Network) newExampleStage() exampleStage {
@@ -511,50 +512,116 @@ func (n *Network) backprop(ex Example, st *exampleStage) {
 }
 
 // accumulate folds the staged examples of one minibatch into the
-// gradient accumulators. Each accumulator element receives exactly the
-// additions of a per-example loop over the batch in example-index order
-// — gb[o] += d, gw[o][i] += d*v[i], with examples whose d == 0 skipped,
-// which matters for signed-zero bit patterns (DESIGN §9). Four nonzero
-// examples are folded per pass over a weight row, so each gradient
-// element is loaded and stored once per four examples instead of once
-// per example.
-func (n *Network) accumulate(gs []layerGrads, stages []exampleStage) {
-	var ds [4]float64
-	var vs [4][]float64
+// gradient accumulators ts.gs. Each accumulator element receives exactly
+// the additions of a per-example loop over the batch in example-index
+// order — gb[o] += d, gw[o][i] += d*v[i], with examples whose d == 0
+// skipped, which matters for signed-zero bit patterns (DESIGN §9).
+//
+// Per layer, the batch's deltas are first copied batch-major into ts.dt,
+// so the examples contributing to output row o sit contiguously. For
+// each row, a branch-free pass compacts the examples with d != 0 (NaN
+// included, ±0 excluded) into ts.nz and ts.nzd: the sign pattern of a
+// row's deltas is near random, so a skip branch would mispredict often.
+// The compacted examples are then folded four per pass over the weight
+// row, so each gradient element is loaded and stored once per four
+// examples instead of once per example.
+func (n *Network) accumulate(ts *trainScratch, stages []exampleStage) {
+	b := len(stages)
+	if len(ts.nz) < b {
+		ts.nz = make([]int, b)
+		ts.nzd = make([]float64, b)
+	}
+	nz, nzd := ts.nz[:b], ts.nzd[:b]
 	for li, l := range n.layers {
-		gb := gs[li].gb
+		if len(ts.dt) < b*l.out {
+			ts.dt = make([]float64, b*l.out)
+		}
+		dt := ts.dt[:b*l.out]
+		for p := range stages {
+			for o, d := range stages[p].deltas[li][:l.out] {
+				dt[o*b+p] = d
+			}
+		}
+		gb := ts.gs[li].gb
 		for o := 0; o < l.out; o++ {
-			row := gs[li].gw[o*l.in : (o+1)*l.in]
-			k := 0
-			for p := range stages {
-				d := stages[p].deltas[li][o]
-				if d == 0 {
-					continue
-				}
-				gb[o] += d
-				ds[k], vs[k] = d, stages[p].acts[li]
-				if k++; k == 4 {
-					d0, d1, d2, d3 := ds[0], ds[1], ds[2], ds[3]
-					v0, v1 := vs[0][:len(row)], vs[1][:len(row)]
-					v2, v3 := vs[2][:len(row)], vs[3][:len(row)]
-					for i, g := range row {
-						g += d0 * v0[i]
-						g += d1 * v1[i]
-						g += d2 * v2[i]
-						g += d3 * v3[i]
-						row[i] = g
-					}
-					k = 0
+			k := compactNonzero(dt[o*b:(o+1)*b], nz, nzd)
+			row := ts.gs[li].gw[o*l.in : (o+1)*l.in]
+			j := 0
+			for ; j+4 <= k; j += 4 {
+				d0, d1, d2, d3 := nzd[j], nzd[j+1], nzd[j+2], nzd[j+3]
+				gb[o] += d0
+				gb[o] += d1
+				gb[o] += d2
+				gb[o] += d3
+				v0 := stages[nz[j]].acts[li][:len(row)]
+				v1 := stages[nz[j+1]].acts[li][:len(row)]
+				v2 := stages[nz[j+2]].acts[li][:len(row)]
+				v3 := stages[nz[j+3]].acts[li][:len(row)]
+				for i, g := range row {
+					g += d0 * v0[i]
+					g += d1 * v1[i]
+					g += d2 * v2[i]
+					g += d3 * v3[i]
+					row[i] = g
 				}
 			}
-			for j := 0; j < k; j++ {
-				d, v := ds[j], vs[j][:len(row)]
+			for ; j < k; j++ {
+				d, v := nzd[j], stages[nz[j]].acts[li][:len(row)]
+				gb[o] += d
 				for i := range row {
 					row[i] += d * v[i]
 				}
 			}
 		}
 	}
+}
+
+// compactNonzero writes the positions p of col's nonzero values, in
+// order, to nz and the values to nzd, and returns their count. Every
+// position is written and the count advanced by 0 or 1, so the pass
+// takes no data-dependent branch.
+func compactNonzero(col []float64, nz []int, nzd []float64) int {
+	nz, nzd = nz[:len(col)], nzd[:len(col)]
+	k := 0
+	for p, d := range col {
+		nz[k], nzd[k] = p, d
+		k += b2i(d != 0)
+	}
+	return k
+}
+
+// relu and reluGrad are the ReLU activation and its derivative, without
+// a branch: the sign of a unit's pre-activation is close to random, so
+// a branch on it mispredicts about half the time. relu clears every bit
+// of a negative z, giving +0 as `if z < 0 { z = 0 }` does; -0 and NaN
+// compare false and pass through unchanged. reluGrad selects the bits of
+// 1 or +0, the same g the branch picked (DESIGN §9).
+func relu(z float64) float64 {
+	return math.Float64frombits(math.Float64bits(z) &^ mask(z < 0))
+}
+
+func reluGrad(y float64) float64 {
+	const oneBits = 0x3ff0000000000000 // math.Float64bits(1)
+	return math.Float64frombits(oneBits & mask(y > 0))
+}
+
+// mask is all ones when b holds and zero otherwise; b2i is 1 or 0. The
+// compiler turns both conditional assignments into conditional moves,
+// so the kernels that use them take no data-dependent branch.
+func mask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // trainGrain is the chunking cost hint for per-example backprop: one
@@ -592,7 +659,7 @@ func (n *Network) trainBatch(ts *trainScratch, examples []Example, idx []int) fl
 	for p := range stages { // deterministic merge: fixed example order
 		totalLoss += stages[p].loss
 	}
-	n.accumulate(gs, stages)
+	n.accumulate(ts, stages)
 
 	// SGD-with-momentum update with L2 decay, averaged over the batch.
 	scale := 1 / float64(len(idx))

@@ -230,6 +230,27 @@ func TestTrainScratchReuseKeepsResults(t *testing.T) {
 	}
 }
 
+// TestTrainAllocatesNothingAfterWarmup: once a Train call on a shape has
+// put its scratch back, later calls on that shape allocate nothing, not
+// even for minibatches larger than the compaction buffers' first size.
+func TestTrainAllocatesNothingAfterWarmup(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hidden = []int{11, 5} // a shape no other test trains
+	cfg.Epochs = 2
+	cfg.BatchSize = 70
+	cfg.Workers = 1
+	n := MustNew(4, 3, cfg)
+	examples := syntheticClusters(12, 150)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := n.Train(examples); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Train allocated %v times per call after warm-up, want 0", allocs)
+	}
+}
+
 func TestSoftTargets(t *testing.T) {
 	// Training toward a soft 50/50 target should produce predictions near
 	// 50/50 on that input.

@@ -90,7 +90,9 @@ func TestOptionValidation(t *testing.T) {
 // full queue rejects immediately with ErrQueueFull and counts it.
 func TestQueueFullBackpressure(t *testing.T) {
 	_, ds := fixture(t)
-	scheme := &stubScheme{block: make(chan struct{})}
+	// entered has room for the second held cycle's signal, which
+	// arrives after the test stops receiving.
+	scheme := &stubScheme{block: make(chan struct{}), entered: make(chan struct{}, 1)}
 	reg := obs.NewRegistry()
 	svc, err := New(scheme, WithQueueDepth(1), WithMetrics(reg))
 	if err != nil {
@@ -103,12 +105,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 		_, err := svc.Assess(context.Background(), oneImageRequest(ds))
 		results <- err
 	}()
-	// Wait until the worker has picked the first request up, then park a
-	// second one in the queue slot.
+	// Wait until the worker is inside the first request's cycle, then
+	// park a second one in the queue slot.
+	<-scheme.entered
 	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.requests) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	go func() {
 		_, err := svc.Assess(context.Background(), oneImageRequest(ds))
 		results <- err

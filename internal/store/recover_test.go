@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -265,6 +266,71 @@ func TestCrashRecoverySkipsCorruptNewestCheckpoint(t *testing.T) {
 	runCycles(t, restored, env, cyclesBeforeCrash, cyclesAfterCrash)
 	if !bytes.Equal(stateBytes(t, restored), want) {
 		t.Error("recovery through the older checkpoint diverged")
+	}
+}
+
+// recoverChildDir, when set, makes
+// TestRecoveredStateIdenticalAcrossProcesses the child half: recover the
+// named state directory and write the recovered SaveState bytes to the
+// file recoverChildOut names.
+const (
+	recoverChildDir = "CROWDLEARN_TEST_RECOVER_DIR"
+	recoverChildOut = "CROWDLEARN_TEST_RECOVER_OUT"
+)
+
+// recoveredState recovers dir into a fresh system and returns its
+// SaveState bytes.
+func recoveredState(t *testing.T, env *experiments.Env, dir string) []byte {
+	t.Helper()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sys, err := env.NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(sys, recoverOpts(env)); err != nil {
+		t.Fatal(err)
+	}
+	return stateBytes(t, sys)
+}
+
+// TestRecoveredStateIdenticalAcrossProcesses: the process that wrote a
+// state directory and a fresh process recovering it must save the
+// recovered state to the same bytes. Gob embeds process-wide type ids
+// handed out in first-use order, and the two processes first encode
+// different types (a WAL record here, RestoreState's rollback copy in
+// the child), so this holds only because core fixes the ids at init.
+func TestRecoveredStateIdenticalAcrossProcesses(t *testing.T) {
+	env := testEnv(t)
+	if dir := os.Getenv(recoverChildDir); dir != "" {
+		if err := os.WriteFile(os.Getenv(recoverChildOut), recoveredState(t, env, dir), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	dir := t.TempDir()
+	sys, st, _ := journaledSystem(t, env, dir, 4)
+	runCycles(t, sys, env, 0, cyclesBeforeCrash)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	here := recoveredState(t, env, dir)
+
+	out := filepath.Join(t.TempDir(), "state")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRecoveredStateIdenticalAcrossProcesses$", "-test.count=1")
+	cmd.Env = append(os.Environ(), recoverChildDir+"="+dir, recoverChildOut+"="+out)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child recovery: %v\n%s", err, msg)
+	}
+	there, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(here, there) {
+		t.Errorf("recovered state: %d bytes in the writing process, %d in a fresh process, not byte-identical", len(here), len(there))
 	}
 }
 
