@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race race-equivalence crash-recovery chaos bench bench-json bench-gate load-json load-gate cover-obs faults fuzz artefacts report clean
+.PHONY: all build vet lint test bench-harness race race-equivalence crash-recovery chaos bench bench-json bench-gate load-json load-gate cover-obs faults fuzz artefacts report clean
 
 all: build lint test
 
@@ -32,6 +32,13 @@ lint:
 # state dependence.
 test:
 	$(GO) test -shuffle=on ./...
+
+# The benchmark harness (_crowdbench) is a separate module that builds
+# the main module from this checkout; neither `go build ./...` nor
+# `make test` compiles it. Vet and test it so an API change the harness
+# depends on fails here rather than in a benchmark run.
+bench-harness:
+	cd _crowdbench && $(GO) vet . && $(GO) test .
 
 # The experiments package runs full campaigns and needs well over the
 # 10m default package timeout under the race detector.

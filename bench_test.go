@@ -259,6 +259,11 @@ func BenchmarkRunCycleParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// The system defers its bootstrap training to first use;
+			// train it here so the timed loop measures cycles only.
+			if err := sys.EnsureBootstrapped(); err != nil {
+				b.Fatal(err)
+			}
 			contexts := []TemporalContext{Morning, Afternoon, Evening, Midnight}
 			test := env.Dataset.Test
 			perCycle := 10
@@ -314,10 +319,11 @@ func BenchmarkRunCycleParallel(b *testing.B) {
 // (per-cycle WAL fsync, periodic snapshot-then-encode checkpoints).
 // mode=sequential commits each cycle synchronously (RunCycle);
 // mode=pipelined overlaps cycle N's commit with cycle N+1's compute
-// through BeginCycle and a detached commit — the RunCampaignPipelined
-// hot loop. Outputs and journal bytes are bit-identical across modes,
-// so the sequential/pipelined ns/op ratio is the commit-overlap
-// speedup; `make bench-json` records it in BENCH_parallel.json. Unlike
+// through BeginCycle and a detached commit — RunCampaign's loop for a
+// System whose journal detaches. Outputs and journal bytes are
+// bit-identical across modes, so the sequential/pipelined ns/op ratio
+// is the commit-overlap speedup; `make bench-json` records it in
+// BENCH_parallel.json. Unlike
 // worker fan-out, this gain does not need multiple cores — the overlap
 // hides IO wait, not compute.
 func BenchmarkRunCyclePipelined(b *testing.B) {
@@ -345,6 +351,9 @@ func BenchmarkRunCyclePipelined(b *testing.B) {
 				}
 				return sn.Encode, nil
 			})
+			if err := sys.EnsureBootstrapped(); err != nil {
+				b.Fatal(err)
+			}
 			contexts := []TemporalContext{Morning, Afternoon, Evening, Midnight}
 			test := env.Dataset.Test
 			perCycle := 10

@@ -110,9 +110,6 @@ type (
 	CampaignConfig = core.CampaignConfig
 	// CampaignResult aggregates a campaign run.
 	CampaignResult = core.CampaignResult
-	// PipelinedScheme is a scheme whose cycle splits into a compute
-	// phase and a detachable durability phase; System implements it.
-	PipelinedScheme = core.PipelinedScheme
 	// Metrics holds accuracy / precision / recall / F1.
 	Metrics = eval.Metrics
 	// Sample is one training sample (image + target distribution); used
@@ -241,18 +238,13 @@ func NewFaultInjector(inner CrowdPlatform, cfg FaultConfig) (*FaultInjector, err
 // DefaultCampaignConfig mirrors the paper's 40-cycle protocol.
 func DefaultCampaignConfig() CampaignConfig { return core.DefaultCampaignConfig() }
 
-// RunCampaign drives a scheme through the sensing-cycle protocol.
+// RunCampaign drives a scheme through the sensing-cycle protocol. A
+// System's durable commits (WAL append, fsync, periodic checkpoint)
+// overlap the next cycle's compute when its journal can detach them;
+// results, records and journal bytes are byte-identical to running the
+// cycles one by one (DESIGN.md §9).
 func RunCampaign(scheme Scheme, test []*Image, cfg CampaignConfig) (*CampaignResult, error) {
 	return core.RunCampaign(scheme, test, cfg)
-}
-
-// RunCampaignPipelined drives a scheme through the protocol with each
-// cycle's durable commit (WAL append, fsync, periodic checkpoint)
-// overlapped with the next cycle's compute. Results, records and
-// journal bytes are byte-identical to RunCampaign; see DESIGN.md §9
-// for the epoch-merge barrier contract.
-func RunCampaignPipelined(scheme PipelinedScheme, test []*Image, cfg CampaignConfig) (*CampaignResult, error) {
-	return core.RunCampaignPipelined(scheme, test, cfg)
 }
 
 // ComputeMetrics derives Table II-style metrics from parallel label

@@ -82,10 +82,11 @@ type Scenario struct {
 	// ExpectBreakerOpen lists campaign indices whose script must trip
 	// the circuit breaker open at least once.
 	ExpectBreakerOpen []int
-	// Pipelined drives every campaign through core.RunCampaignPipelined
-	// against a store-backed journal instead of the supervised runtime:
-	// kills land while the previous cycle's detached commit may still be
-	// in flight, and recovery goes through store.Recover directly.
+	// Pipelined drives every campaign through core.RunCampaign against
+	// a store-backed journal, whose commits detach, instead of the
+	// supervised runtime: kills land while the previous cycle's
+	// detached commit may still be in flight, and recovery goes
+	// through store.Recover directly.
 	// Pipelined scenarios support panic kills only (no stalls, no store
 	// faults) and assert the same invariants via Check.
 	Pipelined bool
@@ -719,7 +720,7 @@ func (r *Runner) referenceState(sc Scenario, i int, images []*imagery.Image, per
 	return buf.Bytes(), nil
 }
 
-// runPipelined drives a Scenario through core.RunCampaignPipelined:
+// runPipelined drives a Scenario through core.RunCampaign:
 // each campaign runs against its own store-backed journal with the
 // snapshot-then-encode seam installed, so scripted panics land
 // mid-compute while the previous cycle's detached commit may still be
@@ -834,8 +835,8 @@ func (r *Runner) drivePipelined(sc Scenario, i int, dir string, logger *slog.Log
 	}
 
 	// runFrom resumes the pipelined campaign at cycle start; a scripted
-	// panic surfaces as an error after RunCampaignPipelined's unwind has
-	// joined any in-flight detached commit.
+	// panic surfaces as an error after RunCampaign's unwind has joined
+	// any in-flight detached commit.
 	runFrom := func(sys *core.CrowdLearn, start int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -843,7 +844,7 @@ func (r *Runner) drivePipelined(sc Scenario, i int, dir string, logger *slog.Log
 			}
 		}()
 		cfg := core.CampaignConfig{Cycles: sc.Cycles - start, ImagesPerCycle: perCycle, StartCycle: start}
-		_, err = core.RunCampaignPipelined(sys, images[start*perCycle:], cfg)
+		_, err = core.RunCampaign(sys, images[start*perCycle:], cfg)
 		return err
 	}
 

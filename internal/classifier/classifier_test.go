@@ -185,27 +185,6 @@ func TestUpdateImprovesOnNewDistribution(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	ds := dataset(t)
-	samples := SamplesFromImages(ds.Train)
-	e := NewVGG16(imagery.DefaultDims, Options{Seed: 1, Epochs: 20})
-	if err := e.Train(samples); err != nil {
-		t.Fatal(err)
-	}
-	im := ds.Test[0]
-	before := e.Predict(im)
-	cp := e.Clone()
-	if err := cp.Update(SamplesFromImages(ds.Test[:50])); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Predict(im)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("updating a clone mutated the original")
-		}
-	}
-}
-
 func TestPerImageCosts(t *testing.T) {
 	// Table III ordering: bovw < vgg16 < ddm < ensemble.
 	vgg := NewVGG16(imagery.DefaultDims, Options{})
@@ -282,29 +261,6 @@ func TestEnsembleUntrainedUniform(t *testing.T) {
 	for _, x := range p {
 		if math.Abs(x-1.0/3.0) > 1e-9 {
 			t.Fatalf("untrained ensemble prediction %v, want uniform", p)
-		}
-	}
-}
-
-func TestEnsembleClone(t *testing.T) {
-	ds := dataset(t)
-	ens, err := NewEnsemble(StandardCommittee(imagery.DefaultDims, 1)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ens.Train(SamplesFromImages(ds.Train[:120])); err != nil {
-		t.Fatal(err)
-	}
-	im := ds.Test[0]
-	before := ens.Predict(im)
-	cp := ens.Clone()
-	if err := cp.Update(SamplesFromImages(ds.Test[:60])); err != nil {
-		t.Fatal(err)
-	}
-	after := ens.Predict(im)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("updating an ensemble clone mutated the original")
 		}
 	}
 }

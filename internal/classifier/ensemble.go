@@ -176,20 +176,6 @@ func (e *Ensemble) PredictInto(im *imagery.Image, dst []float64) []float64 {
 	return dst
 }
 
-// Clone implements Expert.
-func (e *Ensemble) Clone() Expert {
-	cp := &Ensemble{
-		members: make([]Expert, len(e.members)),
-		alphas:  mathx.Clone(e.alphas),
-		cost:    e.cost,
-		workers: e.workers,
-	}
-	for i, m := range e.members {
-		cp.members[i] = m.Clone()
-	}
-	return cp
-}
-
 // StandardCommittee builds the paper's committee — VGG16, BoVW and DDM —
 // with distinct seeds derived from the given base seed.
 func StandardCommittee(dims imagery.Dims, seed int64) []Expert {

@@ -72,9 +72,6 @@ type Expert interface {
 	// PerImageCost is the simulated inference cost per image, modelling
 	// the GPU time of the real systems (Table III).
 	PerImageCost() time.Duration
-	// Clone returns an independent deep copy; MIC snapshots experts so a
-	// harmful retraining step can be rolled back.
-	Clone() Expert
 }
 
 // UpdateWorkerTuner is implemented by experts whose incremental Update
@@ -242,13 +239,4 @@ func (e *mlpExpert) PredictInto(im *imagery.Image, dst []float64) []float64 {
 		return dst
 	}
 	return e.net.PredictInto(im.Features(e.view), dst)
-}
-
-// Clone implements Expert.
-func (e *mlpExpert) Clone() Expert {
-	cp := *e
-	if e.net != nil {
-		cp.net = e.net.Clone()
-	}
-	return &cp
 }

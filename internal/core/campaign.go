@@ -83,9 +83,31 @@ type CampaignResult struct {
 	Traces []*obs.CycleTrace
 }
 
+// cycleBeginner is a scheme whose cycle splits into a compute phase and
+// a commit (*CrowdLearn, through BeginCycle).
+type cycleBeginner interface {
+	BeginCycle(in CycleInput) (CycleOutput, *CycleCommit, error)
+}
+
 // RunCampaign drives the scheme through the test images under the
 // campaign schedule. Images are consumed in order, ImagesPerCycle at a
 // time, emulating the unseen data arriving during each sensing cycle.
+//
+// A scheme with BeginCycle runs each cycle's compute phase through it.
+// A detached commit (journal encode, WAL append, fsync, periodic
+// checkpoint write) runs on its own goroutine while the next cycle's
+// compute already executes; a commit that cannot detach runs before the
+// next cycle. The compute chain itself stays strictly sequential —
+// every cycle's QSS/IPD/CQC/MIC step reads state the previous cycle
+// wrote, so overlapping compute would break the bit-identity contract
+// — which makes commit work the only overlap that preserves DESIGN §9
+// determinism. The epoch-merge barrier: cycle N's commit is joined
+// before cycle N+1's commit may start (the WAL stays in index order,
+// at most one commit is ever in flight) and a durability failure
+// aborts the campaign, wrapping ErrCycleNotDurable, before any later
+// cycle is acknowledged. Results, records and journal bytes are
+// byte-identical to calling RunCycle cycle by cycle, at any worker
+// count. Every other scheme runs each cycle through RunCycle.
 func RunCampaign(scheme Scheme, test []*imagery.Image, cfg CampaignConfig) (*CampaignResult, error) {
 	if scheme == nil {
 		return nil, errors.New("core: nil scheme")
@@ -94,68 +116,7 @@ func RunCampaign(scheme Scheme, test []*imagery.Image, cfg CampaignConfig) (*Cam
 		return nil, err
 	}
 	result := &CampaignResult{SchemeName: scheme.Name(), Records: make([]CycleRecord, 0, cfg.Cycles)}
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		idx := cfg.StartCycle + cycle
-		in := CycleInput{
-			Index:   idx,
-			Context: cfg.contextOf(idx),
-			Images:  test[cycle*cfg.ImagesPerCycle : (cycle+1)*cfg.ImagesPerCycle],
-		}
-		out, err := scheme.RunCycle(in)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s cycle %d: %w", scheme.Name(), idx, err)
-		}
-		if len(out.Distributions) != len(in.Images) {
-			return nil, fmt.Errorf("core: %s cycle %d returned %d distributions for %d images",
-				scheme.Name(), idx, len(out.Distributions), len(in.Images))
-		}
-		result.Records = append(result.Records, CycleRecord{Input: in, Output: out})
-	}
-	if cfg.Tracer != nil {
-		traces := cfg.Tracer.Recent(cfg.Cycles)
-		// Recent is newest first; campaigns read chronologically.
-		for i, j := 0, len(traces)-1; i < j; i, j = i+1, j-1 {
-			traces[i], traces[j] = traces[j], traces[i]
-		}
-		result.Traces = traces
-	}
-	return result, nil
-}
-
-// PipelinedScheme is a scheme whose cycle splits into a compute phase
-// and a detachable durability phase — the seam RunCampaignPipelined
-// overlaps on. CrowdLearn implements it via BeginCycle.
-type PipelinedScheme interface {
-	Name() string
-	BeginCycle(in CycleInput) (CycleOutput, *CycleCommit, error)
-}
-
-// RunCampaignPipelined is RunCampaign with the cycle commit pipelined:
-// while cycle N's durable commit (journal encode, WAL append, fsync,
-// periodic checkpoint write) runs on a detached goroutine, cycle N+1's
-// compute phase already executes. The compute chain itself stays
-// strictly sequential — every cycle's QSS/IPD/CQC/MIC step reads state
-// the previous cycle wrote, so overlapping compute would break the
-// bit-identity contract — which makes commit work the only overlap
-// that preserves DESIGN §9 determinism. The epoch-merge barrier:
-// cycle N's commit is joined before cycle N+1's commit may start (the
-// WAL stays in index order, at most one commit is ever in flight) and
-// a durability failure aborts the campaign before any later cycle is
-// acknowledged, wrapping ErrCycleNotDurable exactly like RunCampaign.
-//
-// Successful campaigns produce byte-identical results, records and
-// journal bytes to RunCampaign at any worker count. Commits from
-// journals that do not implement DetachedCycleJournal run inline on
-// the calling goroutine (they may read live state), making this
-// exactly RunCampaign for such schemes.
-func RunCampaignPipelined(scheme PipelinedScheme, test []*imagery.Image, cfg CampaignConfig) (*CampaignResult, error) {
-	if scheme == nil {
-		return nil, errors.New("core: nil scheme")
-	}
-	if err := cfg.Validate(len(test)); err != nil {
-		return nil, err
-	}
-	result := &CampaignResult{SchemeName: scheme.Name(), Records: make([]CycleRecord, 0, cfg.Cycles)}
+	begin, split := scheme.(cycleBeginner)
 	var (
 		joinPrev func() error // pending detached commit of the previous cycle
 		prevIdx  int
@@ -171,7 +132,7 @@ func RunCampaignPipelined(scheme PipelinedScheme, test []*imagery.Image, cfg Cam
 		}
 		return nil
 	}
-	// A panic out of BeginCycle must not leak the in-flight commit
+	// A panic out of a cycle must not leak the in-flight commit
 	// goroutine: join it during the unwind so the journal is quiescent
 	// by the time any recover() observes the panic.
 	defer func() {
@@ -186,7 +147,16 @@ func RunCampaignPipelined(scheme PipelinedScheme, test []*imagery.Image, cfg Cam
 			Context: cfg.contextOf(idx),
 			Images:  test[cycle*cfg.ImagesPerCycle : (cycle+1)*cfg.ImagesPerCycle],
 		}
-		out, commit, err := scheme.BeginCycle(in)
+		var (
+			out    CycleOutput
+			commit *CycleCommit
+			err    error
+		)
+		if split {
+			out, commit, err = begin.BeginCycle(in)
+		} else {
+			out, err = scheme.RunCycle(in)
+		}
 		// Epoch-merge barrier: the previous commit must land before this
 		// cycle's commit may start, and its failure surfaces first — it
 		// is the earlier cycle.

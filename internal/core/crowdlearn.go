@@ -80,10 +80,11 @@ type Config struct {
 	// are bit-identical with and without it. Nil disables profiling.
 	Profiler *prof.Profiler
 	// Journal, when non-nil, receives one JournalCycle record after each
-	// cycle's state mutations have been applied and before RunCycle
-	// returns. A journal append error fails the cycle: callers must not
-	// treat a cycle as committed unless its record is durable. Replayed
-	// cycles (ReplayCycle) are not re-journaled.
+	// cycle's state mutations have been applied, in the cycle's commit
+	// (before RunCycle returns). A journal append error fails the
+	// cycle: callers must not treat a cycle as committed unless its
+	// record is durable. Replayed cycles (ReplayCycle) are not
+	// re-journaled.
 	Journal CycleJournal
 }
 
@@ -309,14 +310,11 @@ func (cl *CrowdLearn) Name() string { return "crowdlearn" }
 //	    expert weights, retrains the experts, and the truthful labels
 //	    replace the AI's on the queried images (crowd offloading).
 //
-// RunCycle is BeginCycle followed immediately by the commit: compute
-// and durability in one synchronous step, exactly the historical
-// behavior (a journal failure surfaces as ErrCycleNotDurable).
+// RunCycle is BeginCycle followed by the commit's Run on this
+// goroutine: compute and durability in one synchronous step (a journal
+// failure surfaces as ErrCycleNotDurable).
 func (cl *CrowdLearn) RunCycle(in CycleInput) (CycleOutput, error) {
-	// detach=false: even a DetachedCycleJournal commits synchronously
-	// here, keeping RunCycle's trace (journal.append span) and metric
-	// ordering exactly as before the pipeline split.
-	out, commit, err := cl.beginCycle(in, false)
+	out, commit, err := cl.BeginCycle(in)
 	if err != nil {
 		return out, err
 	}
@@ -324,60 +322,69 @@ func (cl *CrowdLearn) RunCycle(in CycleInput) (CycleOutput, error) {
 }
 
 // CycleCommit is the durability phase of one sensing cycle, split off
-// by BeginCycle. Run performs (or completes) the journal commit and
-// returns nil only once the cycle is durable; a failure wraps
-// ErrCycleNotDurable exactly as RunCycle would.
+// by BeginCycle. Run performs the journal write and returns nil only
+// once the cycle is durable; a failure wraps ErrCycleNotDurable.
 //
-// Detached reports whether the commit's remaining work is safe to run
-// on another goroutine while the next cycle computes: true when the
-// journal implements DetachedCycleJournal and has already captured
-// everything it needs from live state. A non-detached commit may touch
-// live system state and its open cycle trace, so it must be Run on the
-// caller's goroutine before the next BeginCycle.
+// The cycle trace stays open until Run finishes, so the journal.append
+// span is recorded on it and the recorded cycle interval covers compute
+// plus commit — that is what lets crowdprof see cycle N's span overlap
+// cycle N+1's when the commit is detached. The tracer supports
+// concurrently open cycles, RunCampaign's epoch-merge barrier keeps at
+// most one commit in flight, and the compute chain never touches an
+// older cycle's trace, so a detached Run is the trace's sole remaining
+// writer.
 type CycleCommit struct {
-	fn       func() error
+	cl    *CrowdLearn
+	ct    *obs.CycleTrace
+	index int
+	// durable is the journal write still to do: the closure a
+	// DetachedCycleJournal returned from its capture phase, or a plain
+	// journal's CycleCommitted.
+	durable  func() error
 	detached bool
 }
 
 // Detached reports whether Run is safe to call concurrently with the
-// next cycle's compute phase.
+// next cycle's compute phase: true when the journal implements
+// DetachedCycleJournal, whose capture phase has already copied
+// everything the write needs from live state. A plain CycleJournal may
+// read live state, so its commit must Run on the caller's goroutine
+// before the next BeginCycle.
 func (c *CycleCommit) Detached() bool { return c != nil && c.detached }
 
-// Run completes the commit. Nil-safe; a commit with no journal work is
-// a no-op returning nil.
+// Run completes the commit. Nil-safe: a cycle without a journal has
+// nothing to commit and Run returns nil.
 func (c *CycleCommit) Run() error {
-	if c == nil || c.fn == nil {
+	if c == nil {
 		return nil
 	}
-	return c.fn()
+	jsp := c.ct.Span(SpanJournalAppend)
+	if err := c.durable(); err != nil {
+		// The in-memory mutations stand but the cycle is not durable;
+		// surface that so the caller does not acknowledge work the
+		// journal cannot replay.
+		jsp.Fail(err)
+		return c.cl.notDurable(c.ct, c.index, err)
+	}
+	jsp.End()
+	c.ct.End()
+	return nil
 }
 
 // BeginCycle runs the compute phase of one sensing cycle — everything
 // RunCycle does except making the cycle durable — and returns the
-// output plus the pending commit. This is the seam RunCampaignPipelined
-// overlaps on: with a DetachedCycleJournal the returned commit carries
-// only the encode/append/fsync/checkpoint work, all inputs already
-// captured, so it may run concurrently with the next cycle's compute;
-// the cycle trace stays open until the commit completes, so the
-// recorded span covers compute plus commit and overlapping cycles are
-// visible to trace consumers.
-// With a plain CycleJournal the commit is the historical synchronous
-// append (journal span recorded on the still-open cycle trace) and must
-// run on this goroutine before the next BeginCycle.
+// output plus the pending commit (nil without a journal). RunCampaign
+// overlaps a detached commit with the next cycle's compute; a
+// DetachedCycleJournal's capture phase runs here, so the commit carries
+// only the encode/append/fsync/checkpoint work.
 //
 // The in-memory model mutations always stand once BeginCycle returns
-// nil; only durability is deferred. Callers must not acknowledge the
-// cycle until Run returns nil.
+// nil, and the cycle's metrics are published then, whatever becomes of
+// the commit: a cycle whose commit fails counts in both
+// crowdlearn_cycles_total and crowdlearn_cycle_errors_total, for every
+// kind of journal. Callers must not acknowledge the cycle until Run
+// returns nil.
 func (cl *CrowdLearn) BeginCycle(in CycleInput) (CycleOutput, *CycleCommit, error) {
-	return cl.beginCycle(in, true)
-}
-
-// beginCycle is BeginCycle with detachment made explicit: detach=false
-// forces the synchronous commit path even for a DetachedCycleJournal,
-// which is what keeps RunCycle's observable behavior (journal span on
-// the cycle trace, failure bookkeeping order) identical to the
-// pre-pipeline implementation.
-func (cl *CrowdLearn) beginCycle(in CycleInput, detach bool) (CycleOutput, *CycleCommit, error) {
 	if err := in.Validate(); err != nil {
 		return CycleOutput{}, nil, err
 	}
@@ -400,15 +407,12 @@ func (cl *CrowdLearn) beginCycle(in CycleInput, detach bool) (CycleOutput, *Cycl
 		cl.platform = recorder.inner
 	}
 	if err != nil {
-		ct.Fail(err)
-		cl.cfg.Metrics.Counter(MetricCycleErrors).Inc()
-		ct.End()
-		return out, nil, err
+		return out, nil, cl.failCycle(ct, err)
 	}
+	cl.observeCycle(in, out)
 	if recorder == nil {
-		cl.observeCycle(in, out)
 		ct.End()
-		return out, &CycleCommit{}, nil
+		return out, nil, nil
 	}
 	rec := JournalCycle{
 		Index:       in.Index,
@@ -416,64 +420,31 @@ func (cl *CrowdLearn) beginCycle(in CycleInput, detach bool) (CycleOutput, *Cycl
 		ImageIDs:    imageIDs(in.Images),
 		Submissions: recorder.subs,
 	}
-	if dj, ok := cl.cfg.Journal.(DetachedCycleJournal); ok && detach {
-		// The journal captures any live-state snapshot it needs
-		// synchronously here; the returned closure is pure durability
-		// work. The cycle trace stays open and ends inside the commit,
-		// so the recorded cycle interval covers compute plus commit —
-		// that is what lets crowdprof see cycle N's span overlap cycle
-		// N+1's. The tracer supports concurrently open cycles, the
-		// epoch-merge barrier keeps at most one commit in flight, and
-		// the compute chain never touches an older cycle's trace, so
-		// the closure is the trace's sole remaining writer.
+	commit := &CycleCommit{cl: cl, ct: ct, index: in.Index}
+	if dj, ok := cl.cfg.Journal.(DetachedCycleJournal); ok {
 		durable, jerr := dj.CycleCommittedDetached(rec)
 		if jerr != nil {
-			err = fmt.Errorf("core: cycle %d: %w: %w", in.Index, ErrCycleNotDurable, jerr)
-			ct.Fail(err)
-			cl.cfg.Metrics.Counter(MetricCycleErrors).Inc()
-			ct.End()
-			return out, nil, err
+			return out, nil, cl.notDurable(ct, in.Index, jerr)
 		}
-		cl.observeCycle(in, out)
-		index := in.Index
-		return out, &CycleCommit{detached: true, fn: func() error {
-			jsp := ct.Span(SpanJournalAppend)
-			if jerr := durable(); jerr != nil {
-				// The in-memory mutations stand but the cycle is not
-				// durable; surface that so the caller does not
-				// acknowledge work the journal cannot replay.
-				jsp.Fail(jerr)
-				werr := fmt.Errorf("core: cycle %d: %w: %w", index, ErrCycleNotDurable, jerr)
-				ct.Fail(werr)
-				ct.End()
-				cl.cfg.Metrics.Counter(MetricCycleErrors).Inc()
-				return werr
-			}
-			jsp.End()
-			ct.End()
-			return nil
-		}}, nil
+		commit.durable, commit.detached = durable, true
+	} else {
+		journal := cl.cfg.Journal
+		commit.durable = func() error { return journal.CycleCommitted(rec) }
 	}
-	// Plain journal: the commit is the historical synchronous append.
-	// The cycle trace stays open so the append is recorded on it and
-	// the success/failure bookkeeping matches RunCycle exactly.
-	index := in.Index
-	return out, &CycleCommit{fn: func() error {
-		jsp := ct.Span(SpanJournalAppend)
-		jerr := cl.cfg.Journal.CycleCommitted(rec)
-		if jerr != nil {
-			jsp.Fail(jerr)
-			werr := fmt.Errorf("core: cycle %d: %w: %w", index, ErrCycleNotDurable, jerr)
-			ct.Fail(werr)
-			cl.cfg.Metrics.Counter(MetricCycleErrors).Inc()
-			ct.End()
-			return werr
-		}
-		jsp.End()
-		cl.observeCycle(in, out)
-		ct.End()
-		return nil
-	}}, nil
+	return out, commit, nil
+}
+
+// failCycle ends a failed cycle's trace and counts the failure.
+func (cl *CrowdLearn) failCycle(ct *obs.CycleTrace, err error) error {
+	ct.Fail(err)
+	ct.End()
+	cl.cfg.Metrics.Counter(MetricCycleErrors).Inc()
+	return err
+}
+
+// notDurable fails a cycle whose journal commit failed.
+func (cl *CrowdLearn) notDurable(ct *obs.CycleTrace, index int, jerr error) error {
+	return cl.failCycle(ct, fmt.Errorf("core: cycle %d: %w: %w", index, ErrCycleNotDurable, jerr))
 }
 
 // readyErr runs a pending bootstrap and reports whether the system has

@@ -11,16 +11,20 @@ import (
 
 // CycleJournal receives one durable record per committed sensing cycle.
 // Config.Journal is the hook the persistence layer (internal/store)
-// plugs into: RunCycle calls CycleCommitted after the cycle's state
-// mutations have been applied, and treats an append error as a cycle
-// failure so callers never acknowledge work that is not durable.
+// plugs into: a cycle's commit calls CycleCommitted after the cycle's
+// state mutations have been applied, and treats an append error as a
+// cycle failure so callers never acknowledge work that is not durable.
+// A journal that implements only CycleJournal cannot detach: its commit
+// runs on the cycle's goroutine before the next cycle begins.
 type CycleJournal interface {
 	CycleCommitted(rec JournalCycle) error
 }
 
 // DetachedCycleJournal is the optional two-phase extension of
-// CycleJournal that RunCampaignPipelined overlaps on. A journal that
-// implements it splits the commit of one cycle into:
+// CycleJournal that RunCampaign overlaps with the next cycle's compute.
+// When the journal implements it, every commit — RunCycle's included —
+// goes through CycleCommittedDetached, which splits the commit of one
+// cycle into:
 //
 //  1. a synchronous capture phase (CycleCommittedDetached itself),
 //     which must copy everything the durable record needs from live
@@ -33,7 +37,7 @@ type CycleJournal interface {
 //
 // The closure must be called exactly once; the cycle is durable only
 // when it returns nil. Journals that cannot make this split implement
-// only CycleJournal and are committed inline.
+// only CycleJournal.
 type DetachedCycleJournal interface {
 	CycleJournal
 	CycleCommittedDetached(rec JournalCycle) (func() error, error)

@@ -8,9 +8,12 @@ import (
 // Metric names emitted by CrowdLearn.RunCycle when Config.Metrics is
 // set. Documented in README.md §Observability.
 const (
-	// MetricCycles counts completed sensing cycles.
+	// MetricCycles counts sensing cycles whose compute completed; a
+	// cycle whose commit then fails counts here and in
+	// MetricCycleErrors, whatever its journal.
 	MetricCycles = "crowdlearn_cycles_total"
-	// MetricCycleErrors counts cycles that returned an error.
+	// MetricCycleErrors counts cycles that returned an error, in
+	// compute or in commit.
 	MetricCycleErrors = "crowdlearn_cycle_errors_total"
 	// MetricImages counts images assessed across cycles.
 	MetricImages = "crowdlearn_images_assessed_total"
@@ -106,7 +109,7 @@ func registerHelp(r *obs.Registry) {
 	r.Help(MetricParallelWorkers, "Effective worker count of the parallel sensing-loop stages.")
 }
 
-// observeCycle publishes one successful cycle's telemetry. Nil-safe: a
+// observeCycle publishes one computed cycle's telemetry. Nil-safe: a
 // nil registry makes every call below a no-op.
 func (cl *CrowdLearn) observeCycle(in CycleInput, out CycleOutput) {
 	r := cl.cfg.Metrics

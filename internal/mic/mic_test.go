@@ -24,7 +24,6 @@ func (f *fixedExpert) Train([]classifier.Sample) error  { return nil }
 func (f *fixedExpert) Update([]classifier.Sample) error { f.updates++; return nil }
 func (f *fixedExpert) Predict(*imagery.Image) []float64 { return mathx.Clone(f.dist) }
 func (f *fixedExpert) PerImageCost() time.Duration      { return time.Second }
-func (f *fixedExpert) Clone() classifier.Expert         { cp := *f; return &cp }
 
 var _ classifier.Expert = (*fixedExpert)(nil)
 

@@ -681,9 +681,11 @@ func (n *Network) trainBatch(ts *trainScratch, examples []Example, idx []int) fl
 	return totalLoss
 }
 
-// Clone returns a deep copy of the network (weights and momentum buffers).
-// MIC snapshots experts before retraining so a failed calibration can be
-// rolled back.
+// Clone returns a copy of the network with its own weights and momentum
+// buffers, for gradient checks that probe perturbed weights. The clone
+// shares the original's RNG stream: training either one advances the
+// other's shuffle stream, so a clone must not train at the same time as
+// its original.
 func (n *Network) Clone() *Network {
 	cp := &Network{
 		cfg:     n.cfg,

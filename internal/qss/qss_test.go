@@ -22,7 +22,6 @@ func (s *stubExpert) Train([]classifier.Sample) error     { return nil }
 func (s *stubExpert) Update([]classifier.Sample) error    { return nil }
 func (s *stubExpert) Predict(im *imagery.Image) []float64 { return s.fn(im) }
 func (s *stubExpert) PerImageCost() time.Duration         { return time.Second }
-func (s *stubExpert) Clone() classifier.Expert            { cp := *s; return &cp }
 
 var _ classifier.Expert = (*stubExpert)(nil)
 

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
-	"strconv"
-	"time"
 
 	"github.com/crowdlearn/crowdlearn/internal/admission"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
@@ -42,12 +39,9 @@ type SpecFactory func(id string) (supervise.Spec, error)
 // archived, invalid transitions, duplicate IDs) are 409, unknown
 // campaigns 404, and shutdown 503.
 type CampaignHandler struct {
-	sup      *supervise.Supervisor
-	factory  SpecFactory
-	images   map[int]*imagery.Image
-	registry *obs.Registry
-	mux      *http.ServeMux
-	logger   *slog.Logger
+	frontDoor
+	sup     *supervise.Supervisor
+	factory SpecFactory
 }
 
 var _ http.Handler = (*CampaignHandler)(nil)
@@ -73,18 +67,11 @@ func NewCampaignHandler(sup *supervise.Supervisor, registry []*imagery.Image, fa
 	if sup == nil {
 		return nil, errors.New("service: nil supervisor")
 	}
-	h := &CampaignHandler{
-		sup:     sup,
-		factory: factory,
-		images:  make(map[int]*imagery.Image, len(registry)),
-		mux:     http.NewServeMux(),
+	fd, err := newFrontDoor(registry)
+	if err != nil {
+		return nil, err
 	}
-	for _, im := range registry {
-		if im == nil {
-			return nil, errors.New("service: nil image in registry")
-		}
-		h.images[im.ID] = im
-	}
+	h := &CampaignHandler{frontDoor: fd, sup: sup, factory: factory}
 	for _, opt := range opts {
 		opt(h)
 	}
@@ -100,64 +87,6 @@ func NewCampaignHandler(sup *supervise.Supervisor, registry []*imagery.Image, fa
 	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
 	h.mux.HandleFunc("GET /images", h.handleImages)
 	return h, nil
-}
-
-// handleImages mirrors the single-service image-discovery endpoint:
-// the registry is shared across campaigns, so the ID list is global.
-func (h *CampaignHandler) handleImages(w http.ResponseWriter, r *http.Request) {
-	ids := make([]int, 0, len(h.images))
-	for id := range h.images {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	writeJSON(w, http.StatusOK, map[string]any{"imageIds": ids, "count": len(ids)})
-}
-
-// ServeHTTP wraps the mux with the same accounting and panic recovery
-// as the single-service Handler.
-func (h *CampaignHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	started := time.Now()
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			h.registry.Counter(MetricPanicsRecovered).Inc()
-			if h.logger != nil {
-				h.logger.Error("panic in handler", slog.String("path", r.URL.Path), slog.Any("panic", p))
-			}
-			if !rec.wroteHeader {
-				writeJSON(rec, http.StatusInternalServerError, errorBody{Error: "internal error"})
-			} else {
-				rec.status = http.StatusInternalServerError
-			}
-		}()
-		h.mux.ServeHTTP(rec, r)
-	}()
-	elapsed := time.Since(started)
-	path := r.URL.Path
-	if _, pattern := h.mux.Handler(r); pattern != "" {
-		path = pattern
-	}
-	if h.registry != nil {
-		h.registry.Histogram(MetricHTTPDuration, obs.DefBuckets, "path", path).Observe(elapsed.Seconds())
-		h.registry.Counter(MetricHTTPRequests, "path", path, "code", strconv.Itoa(rec.status)).Inc()
-	}
-	if h.logger != nil {
-		attrs := []any{
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", rec.status),
-			slog.Duration("elapsed", elapsed),
-		}
-		if rec.status >= http.StatusInternalServerError {
-			h.logger.Error("request failed", attrs...)
-		} else {
-			h.logger.Debug("request", attrs...)
-		}
-	}
 }
 
 // writeSupError maps supervision sentinels to transport codes.
@@ -257,81 +186,16 @@ func (h *CampaignHandler) handleLifecycle(op func(string) error) http.HandlerFun
 }
 
 func (h *CampaignHandler) handleCampaignAssess(w http.ResponseWriter, r *http.Request) {
-	var req AssessRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid JSON: %v", err)})
+	req, ok := h.decodeAssess(w, r)
+	if !ok {
 		return
 	}
-	tctx, err := parseContext(req.Context)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if len(req.ImageIDs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "imageIds must be non-empty"})
-		return
-	}
-	images := make([]*imagery.Image, len(req.ImageIDs))
-	for i, id := range req.ImageIDs {
-		im, ok := h.images[id]
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown image id %d", id)})
-			return
-		}
-		images[i] = im
-	}
-	res, err := h.sup.Assess(r.Context(), r.PathValue("id"), tctx, images)
+	res, err := h.sup.Assess(r.Context(), r.PathValue("id"), req.Context, req.Images)
 	if err != nil {
 		writeSupError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignResponse(res, images))
-}
-
-// campaignResponse renders a supervised cycle in the same JSON shape as
-// the single-service POST /assess, so clients migrate between the two
-// without reparsing.
-func campaignResponse(res supervise.AssessResult, images []*imagery.Image) Response {
-	out := res.Output
-	queried := make(map[int]bool, len(out.Queried))
-	ids := make([]int, 0, len(out.Queried))
-	for _, idx := range out.Queried {
-		queried[idx] = true
-		ids = append(ids, images[idx].ID)
-	}
-	degradedIDs := make([]int, 0, len(out.Degraded))
-	for _, idx := range out.Degraded {
-		degradedIDs = append(degradedIDs, images[idx].ID)
-	}
-	resp := Response{
-		CycleIndex:            res.Cycle,
-		Assessments:           make([]Assessment, len(images)),
-		AlgorithmDelaySeconds: out.AlgorithmDelay.Seconds(),
-		CrowdDelaySeconds:     out.CrowdDelay.Seconds(),
-		SpentDollars:          out.SpentDollars,
-		QueriedImageIDs:       ids,
-		Requeries:             out.Requeries,
-		RefundedDollars:       out.RefundedDollars,
-		Shed:                  res.Shed,
-	}
-	if len(degradedIDs) > 0 {
-		resp.DegradedImageIDs = degradedIDs
-	}
-	labels := out.Labels()
-	for i, im := range images {
-		source := "ai"
-		if queried[i] {
-			source = "crowd"
-		}
-		resp.Assessments[i] = Assessment{
-			ImageID:    im.ID,
-			Label:      labels[i],
-			LabelName:  labels[i].String(),
-			Confidence: out.Distributions[i][labels[i]],
-			Source:     source,
-		}
-	}
-	return resp
+	writeJSON(w, http.StatusOK, newResponse(res.Cycle, req.Images, res.Output, res.Shed))
 }
 
 // handleHealthz reports fleet health: 200 while every campaign is
@@ -361,16 +225,4 @@ func (h *CampaignHandler) handleStats(w http.ResponseWriter, r *http.Request) {
 		Campaigns: h.sup.Health(),
 		Admission: h.sup.Admission(),
 	})
-}
-
-func (h *CampaignHandler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if h.registry == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "metrics not enabled"})
-		return
-	}
-	w.Header().Set("Content-Type", obs.TextContentType)
-	w.WriteHeader(http.StatusOK)
-	if err := h.registry.WritePrometheus(w); err != nil && h.logger != nil {
-		h.logger.Error("metrics write", slog.Any("err", err))
-	}
 }

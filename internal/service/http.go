@@ -16,6 +16,28 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/obs"
 )
 
+// frontDoor is what both HTTP faces share: the image registry request
+// IDs resolve against, the route mux behind one accounting and
+// panic-recovery middleware, the POST /assess body decoder, and the
+// /images and /metrics endpoints.
+type frontDoor struct {
+	images   map[int]*imagery.Image
+	mux      *http.ServeMux
+	registry *obs.Registry
+	logger   *slog.Logger
+}
+
+func newFrontDoor(registry []*imagery.Image) (frontDoor, error) {
+	f := frontDoor{images: make(map[int]*imagery.Image, len(registry)), mux: http.NewServeMux()}
+	for _, im := range registry {
+		if im == nil {
+			return frontDoor{}, errors.New("service: nil image in registry")
+		}
+		f.images[im.ID] = im
+	}
+	return f, nil
+}
+
 // Handler exposes a Service over HTTP/JSON:
 //
 //	POST /assess   {"context":"morning","imageIds":[1,2,3]} -> Response
@@ -29,10 +51,8 @@ import (
 // daemon). In a real deployment the registry would be an ingestion store
 // of crawled social-media images.
 type Handler struct {
-	svc    *Service
-	images map[int]*imagery.Image
-	mux    *http.ServeMux
-	logger *slog.Logger
+	frontDoor
+	svc *Service
 }
 
 var _ http.Handler = (*Handler)(nil)
@@ -62,28 +82,34 @@ func NewHandler(svc *Service, registry []*imagery.Image, opts ...HandlerOption) 
 	if svc == nil {
 		return nil, errors.New("service: nil service")
 	}
-	h := &Handler{
-		svc:    svc,
-		images: make(map[int]*imagery.Image, len(registry)),
-		mux:    http.NewServeMux(),
+	fd, err := newFrontDoor(registry)
+	if err != nil {
+		return nil, err
 	}
-	for _, im := range registry {
-		if im == nil {
-			return nil, errors.New("service: nil image in registry")
-		}
-		h.images[im.ID] = im
-	}
+	fd.registry = svc.Registry()
+	h := &Handler{frontDoor: fd, svc: svc}
 	for _, opt := range opts {
 		opt(h)
 	}
-	h.mux.HandleFunc("/assess", h.handleAssess)
-	h.mux.HandleFunc("/stats", h.handleStats)
-	h.mux.HandleFunc("/metrics", h.handleMetrics)
-	h.mux.HandleFunc("/trace", h.handleTrace)
+	h.mux.HandleFunc("/assess", only(http.MethodPost, h.handleAssess))
+	h.mux.HandleFunc("/stats", only(http.MethodGet, h.handleStats))
+	h.mux.HandleFunc("/metrics", only(http.MethodGet, h.handleMetrics))
+	h.mux.HandleFunc("/trace", only(http.MethodGet, h.handleTrace))
 	h.mux.HandleFunc("/healthz", h.handleHealth)
-	h.mux.HandleFunc("/images", h.handleImages)
+	h.mux.HandleFunc("/images", only(http.MethodGet, h.handleImages))
 	h.mux.HandleFunc("/", h.handleDashboard)
 	return h, nil
+}
+
+// only answers 405 with a JSON error to any method but the given one.
+func only(method string, next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: method + " required"})
+			return
+		}
+		next(w, r)
+	}
 }
 
 // statusRecorder captures the response code for metrics and logging.
@@ -110,7 +136,7 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // instead of tearing down the connection (and, under net/http's default
 // behaviour, only that connection: the middleware makes the failure
 // observable rather than silent).
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	started := time.Now()
 	func() {
@@ -119,11 +145,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if p == nil {
 				return
 			}
-			if reg := h.svc.Registry(); reg != nil {
-				reg.Counter(MetricPanicsRecovered).Inc()
-			}
-			if h.logger != nil {
-				h.logger.Error("panic in handler", slog.String("path", r.URL.Path), slog.Any("panic", p))
+			f.registry.Counter(MetricPanicsRecovered).Inc()
+			if f.logger != nil {
+				f.logger.Error("panic in handler", slog.String("path", r.URL.Path), slog.Any("panic", p))
 			}
 			if !rec.wroteHeader {
 				writeJSON(rec, http.StatusInternalServerError, errorBody{Error: "internal error"})
@@ -131,21 +155,21 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				rec.status = http.StatusInternalServerError
 			}
 		}()
-		h.mux.ServeHTTP(rec, r)
+		f.mux.ServeHTTP(rec, r)
 	}()
 	elapsed := time.Since(started)
 
 	// Label with the registered pattern, not the raw URL, to bound
 	// series cardinality (all dashboard paths collapse to "/").
 	path := r.URL.Path
-	if _, pattern := h.mux.Handler(r); pattern != "" {
+	if _, pattern := f.mux.Handler(r); pattern != "" {
 		path = pattern
 	}
-	if reg := h.svc.Registry(); reg != nil {
-		reg.Histogram(MetricHTTPDuration, obs.DefBuckets, "path", path).Observe(elapsed.Seconds())
-		reg.Counter(MetricHTTPRequests, "path", path, "code", strconv.Itoa(rec.status)).Inc()
+	if f.registry != nil {
+		f.registry.Histogram(MetricHTTPDuration, obs.DefBuckets, "path", path).Observe(elapsed.Seconds())
+		f.registry.Counter(MetricHTTPRequests, "path", path, "code", strconv.Itoa(rec.status)).Inc()
 	}
-	if h.logger != nil {
+	if f.logger != nil {
 		attrs := []any{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -153,9 +177,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Duration("elapsed", elapsed),
 		}
 		if rec.status >= http.StatusInternalServerError {
-			h.logger.Error("request failed", attrs...)
+			f.logger.Error("request failed", attrs...)
 		} else {
-			h.logger.Debug("request", attrs...)
+			f.logger.Debug("request", attrs...)
 		}
 	}
 }
@@ -205,35 +229,42 @@ func parseContext(name string) (crowd.TemporalContext, error) {
 	return 0, fmt.Errorf("unknown context %q (want morning/afternoon/evening/midnight)", name)
 }
 
-func (h *Handler) handleAssess(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
-		return
-	}
-	var req AssessRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+// decodeAssess decodes and validates a POST /assess body and resolves
+// its image IDs. On failure it has written the 400 or 404 answer and
+// returns false.
+func (f *frontDoor) decodeAssess(w http.ResponseWriter, r *http.Request) (Request, bool) {
+	var body AssessRequest
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid JSON: %v", err)})
-		return
+		return Request{}, false
 	}
-	ctx, err := parseContext(req.Context)
+	ctx, err := parseContext(body.Context)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return Request{}, false
 	}
-	if len(req.ImageIDs) == 0 {
+	if len(body.ImageIDs) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "imageIds must be non-empty"})
-		return
+		return Request{}, false
 	}
-	images := make([]*imagery.Image, len(req.ImageIDs))
-	for i, id := range req.ImageIDs {
-		im, ok := h.images[id]
+	images := make([]*imagery.Image, len(body.ImageIDs))
+	for i, id := range body.ImageIDs {
+		im, ok := f.images[id]
 		if !ok {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown image id %d", id)})
-			return
+			return Request{}, false
 		}
 		images[i] = im
 	}
-	resp, err := h.svc.Assess(r.Context(), Request{Context: ctx, Images: images, Campaign: req.Campaign})
+	return Request{Context: ctx, Images: images, Campaign: body.Campaign}, true
+}
+
+func (h *Handler) handleAssess(w http.ResponseWriter, r *http.Request) {
+	req, ok := h.decodeAssess(w, r)
+	if !ok {
+		return
+	}
+	resp, err := h.svc.Assess(r.Context(), req)
 	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
 		w.Header().Set("Retry-After", retryAfterSeconds(err))
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
@@ -251,29 +282,20 @@ func (h *Handler) handleAssess(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET required"})
-		return
-	}
 	writeJSON(w, http.StatusOK, h.svc.Stats())
 }
 
 // handleMetrics serves the Prometheus text exposition of the attached
 // registry.
-func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET required"})
-		return
-	}
-	reg := h.svc.Registry()
-	if reg == nil {
+func (f *frontDoor) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if f.registry == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "metrics not enabled"})
 		return
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
 	w.WriteHeader(http.StatusOK)
-	if err := reg.WritePrometheus(w); err != nil && h.logger != nil {
-		h.logger.Error("metrics write", slog.Any("err", err))
+	if err := f.registry.WritePrometheus(w); err != nil && f.logger != nil {
+		f.logger.Error("metrics write", slog.Any("err", err))
 	}
 }
 
@@ -286,10 +308,6 @@ type TraceResponse struct {
 // handleTrace serves the N most recent cycle span trees
 // (GET /trace?n=10; n defaults to 10, capped by the tracer's ring).
 func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET required"})
-		return
-	}
 	tr := h.svc.Tracer()
 	if tr == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "tracing not enabled"})
@@ -309,13 +327,9 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleImages lists the assessable image IDs so clients can discover the
 // registry without out-of-band knowledge.
-func (h *Handler) handleImages(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET required"})
-		return
-	}
-	ids := make([]int, 0, len(h.images))
-	for id := range h.images {
+func (f *frontDoor) handleImages(w http.ResponseWriter, r *http.Request) {
+	ids := make([]int, 0, len(f.images))
+	for id := range f.images {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

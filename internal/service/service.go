@@ -436,13 +436,7 @@ func (s *Service) run() {
 				req.reply <- assessReply{err: req.ctx.Err()}
 				continue
 			}
-			var resp Response
-			var err error
-			if req.degraded {
-				resp, err = s.processDegraded(req)
-			} else {
-				resp, err = s.process(req, wait)
-			}
+			resp, err := s.process(req, wait)
 			req.ticket.Done(s.now(), err == nil)
 			if s.admit != nil {
 				s.registry.Gauge(MetricAdmissionLimit).Set(float64(s.admit.Snapshot().Limit))
@@ -567,15 +561,25 @@ func cycleAttrs(req Request, wait time.Duration) []core.TraceAttr {
 	return attrs
 }
 
-// process runs one sensing cycle on the worker goroutine. A panicking
-// scheme is recovered into an error so one poisoned cycle cannot kill
-// the worker and wedge every future request.
+// process serves one request on the worker goroutine: a full sensing
+// cycle, or for a degrade-tier request the scheme's AI-only fast path
+// (core.DegradedAssessor) — no crowd round-trip, no learning, and no
+// committed cycle: the shed answer repeats the next uncommitted cycle
+// index without consuming it, mutates no scheme state and writes no
+// journal, so a degraded burst leaves the durable cycle sequence and
+// its replay byte-identical. A panicking scheme is recovered into an
+// error so one poisoned cycle cannot kill the worker and wedge every
+// future request.
 func (s *Service) process(ar assessRequest, wait time.Duration) (resp Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.registry.Counter(MetricPanicsRecovered).Inc()
 			s.registry.Counter(MetricAssessErrors).Inc()
-			resp, err = Response{}, fmt.Errorf("service: recovered panic in sensing cycle: %v", r)
+			stage := "sensing cycle"
+			if ar.degraded {
+				stage = "degraded assessment"
+			}
+			resp, err = Response{}, fmt.Errorf("service: recovered panic in %s: %v", stage, r)
 		}
 	}()
 	req := ar.req
@@ -588,59 +592,42 @@ func (s *Service) process(ar assessRequest, wait time.Duration) (resp Response, 
 		Context: req.Context,
 		Images:  req.Images,
 	}
-	if s.admit != nil {
-		in.Attrs = cycleAttrs(req, wait)
-	}
 	started := time.Now()
-	out, err := s.scheme.RunCycle(in)
+	var out core.CycleOutput
+	if ar.degraded {
+		out, err = s.degrader.AssessDegraded(in)
+	} else {
+		if s.admit != nil {
+			in.Attrs = cycleAttrs(req, wait)
+		}
+		out, err = s.scheme.RunCycle(in)
+	}
 	s.registry.Histogram(MetricAssessDuration, obs.DefBuckets).Observe(time.Since(started).Seconds())
 	if err != nil {
 		s.registry.Counter(MetricAssessErrors).Inc()
 		return Response{}, err
 	}
-
-	queried := make(map[int]bool, len(out.Queried))
-	ids := make([]int, 0, len(out.Queried))
-	for _, idx := range out.Queried {
-		queried[idx] = true
-		ids = append(ids, req.Images[idx].ID)
-	}
-	degradedIDs := make([]int, 0, len(out.Degraded))
-	for _, idx := range out.Degraded {
-		degradedIDs = append(degradedIDs, req.Images[idx].ID)
-	}
-	resp = Response{
-		CycleIndex:            cycle,
-		Assessments:           make([]Assessment, len(req.Images)),
-		AlgorithmDelaySeconds: out.AlgorithmDelay.Seconds(),
-		CrowdDelaySeconds:     out.CrowdDelay.Seconds(),
-		SpentDollars:          out.SpentDollars,
-		QueriedImageIDs:       ids,
-		Requeries:             out.Requeries,
-		RefundedDollars:       out.RefundedDollars,
-	}
-	if len(degradedIDs) > 0 {
-		resp.DegradedImageIDs = degradedIDs
-	}
-	labels := out.Labels()
-	for i, im := range req.Images {
-		source := "ai"
-		if queried[i] {
-			source = "crowd"
-		}
-		resp.Assessments[i] = Assessment{
-			ImageID:    im.ID,
-			Label:      labels[i],
-			LabelName:  labels[i].String(),
-			Confidence: out.Distributions[i][labels[i]],
-			Source:     source,
-		}
-	}
+	resp = newResponse(cycle, req.Images, out, ar.degraded)
 
 	s.mu.Lock()
+	s.stats.ImagesAssessed += len(req.Images)
+	if ar.degraded {
+		s.stats.ShedResponses++
+	} else {
+		s.noteCycle(out)
+	}
+	s.recent = append(s.recent, resp)
+	if len(s.recent) > recentCapacity {
+		s.recent = s.recent[len(s.recent)-recentCapacity:]
+	}
+	s.mu.Unlock()
+	return resp, nil
+}
+
+// noteCycle records a committed cycle's accounting. Callers hold s.mu.
+func (s *Service) noteCycle(out core.CycleOutput) {
 	s.nextCycle++
 	s.stats.CyclesRun++
-	s.stats.ImagesAssessed += len(req.Images)
 	s.stats.CrowdQueries += len(out.Queried)
 	s.stats.TotalSpent += out.SpentDollars
 	s.stats.Requeries += out.Requeries
@@ -663,54 +650,30 @@ func (s *Service) process(ar assessRequest, wait time.Duration) (resp Response, 
 		budget := s.observable.RemainingBudget()
 		s.stats.BudgetRemaining = &budget
 	}
-	s.recent = append(s.recent, resp)
-	if len(s.recent) > recentCapacity {
-		s.recent = s.recent[len(s.recent)-recentCapacity:]
-	}
-	s.mu.Unlock()
-	return resp, nil
 }
 
-// processDegraded serves one request from the scheme's AI-only fast
-// path (core.DegradedAssessor): no crowd round-trip, no learning, and —
-// critically — no committed cycle. The response repeats the next
-// uncommitted cycle index without consuming it, mutates no scheme
-// state and writes no journal, so a degraded burst leaves the durable
-// cycle sequence and its replay byte-identical.
-func (s *Service) processDegraded(ar assessRequest) (resp Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.registry.Counter(MetricPanicsRecovered).Inc()
-			s.registry.Counter(MetricAssessErrors).Inc()
-			resp, err = Response{}, fmt.Errorf("service: recovered panic in degraded assessment: %v", r)
-		}
-	}()
-	req := ar.req
-	s.mu.Lock()
-	cycle := s.nextCycle
-	s.mu.Unlock()
-
-	started := time.Now()
-	out, err := s.degrader.AssessDegraded(core.CycleInput{
-		Index:   cycle,
-		Context: req.Context,
-		Images:  req.Images,
-	})
-	s.registry.Histogram(MetricAssessDuration, obs.DefBuckets).Observe(time.Since(started).Seconds())
-	if err != nil {
-		s.registry.Counter(MetricAssessErrors).Inc()
-		return Response{}, err
-	}
-
-	resp = Response{
+// newResponse renders one assessment in the POST /assess JSON shape:
+// a committed sensing cycle, or with shed set an answer from the
+// admission degrade tier, whose cycle index is the next uncommitted one.
+// images are the request's images, in input order. Both HTTP faces and
+// the shed tier answer through it, so clients parse one shape.
+func newResponse(cycle int, images []*imagery.Image, out core.CycleOutput, shed bool) Response {
+	resp := Response{
 		CycleIndex:            cycle,
-		Assessments:           make([]Assessment, len(req.Images)),
+		Assessments:           make([]Assessment, len(images)),
 		AlgorithmDelaySeconds: out.AlgorithmDelay.Seconds(),
-		Shed:                  true,
+		CrowdDelaySeconds:     out.CrowdDelay.Seconds(),
+		SpentDollars:          out.SpentDollars,
+		QueriedImageIDs:       imageIDsAt(images, out.Queried),
+		Requeries:             out.Requeries,
+		RefundedDollars:       out.RefundedDollars,
+		Shed:                  shed,
 	}
-	resp.DegradedImageIDs = make([]int, 0, len(req.Images))
+	if len(out.Degraded) > 0 {
+		resp.DegradedImageIDs = imageIDsAt(images, out.Degraded)
+	}
 	labels := out.Labels()
-	for i, im := range req.Images {
+	for i, im := range images {
 		resp.Assessments[i] = Assessment{
 			ImageID:    im.ID,
 			Label:      labels[i],
@@ -718,18 +681,21 @@ func (s *Service) processDegraded(ar assessRequest) (resp Response, err error) {
 			Confidence: out.Distributions[i][labels[i]],
 			Source:     "ai",
 		}
-		resp.DegradedImageIDs = append(resp.DegradedImageIDs, im.ID)
 	}
+	for _, idx := range out.Queried {
+		resp.Assessments[idx].Source = "crowd"
+	}
+	return resp
+}
 
-	s.mu.Lock()
-	s.stats.ShedResponses++
-	s.stats.ImagesAssessed += len(req.Images)
-	s.recent = append(s.recent, resp)
-	if len(s.recent) > recentCapacity {
-		s.recent = s.recent[len(s.recent)-recentCapacity:]
+// imageIDsAt maps positions in images to image IDs; never nil, so an
+// empty list renders as [].
+func imageIDsAt(images []*imagery.Image, at []int) []int {
+	ids := make([]int, len(at))
+	for i, idx := range at {
+		ids[i] = images[idx].ID
 	}
-	s.mu.Unlock()
-	return resp, nil
+	return ids
 }
 
 // Degraded reports whether any response in the recent window fell back

@@ -106,9 +106,10 @@ var (
 // system state synchronously and return a deferred encoder that is
 // safe to run after the system has moved on — normally built from the
 // system's SnapshotState. Call once at wiring time, before the first
-// commit. Without it, detached commits fall back to running the save
-// callback synchronously into a buffer during the capture phase, so
-// correctness never depends on it — only hot-path latency does.
+// commit. Without it, every checkpointing commit falls back to running
+// the save callback into a buffer during the capture phase, so
+// correctness never depends on it — only hot-path latency and memory
+// do.
 func (j *Journal) SetSnapshot(fn func() (encode func(w io.Writer) error, err error)) {
 	j.snapshot = fn
 }
@@ -127,46 +128,30 @@ func (j *Journal) NoteRecovered(report *RecoveryReport) {
 	}
 }
 
-// CycleCommitted implements core.CycleJournal.
+// CycleCommitted implements core.CycleJournal: the two phases of
+// CycleCommittedDetached run back to back on the caller's goroutine.
 func (j *Journal) CycleCommitted(rec core.JournalCycle) error {
-	n, err := j.store.AppendCycle(rec)
+	durable, err := j.CycleCommittedDetached(rec)
 	if err != nil {
 		return err
 	}
-	j.reg.Counter(MetricWALRecords).Inc()
-	j.reg.Counter(MetricWALBytes).Add(float64(n))
-	j.mu.Lock()
-	j.cycles = rec.Index + 1
-	cycles := j.cycles
-	due := j.every > 0 && cycles%j.every == 0
-	j.mu.Unlock()
-	if due {
-		if cerr := j.Checkpoint(); cerr != nil {
-			// The WAL record above already made this cycle durable;
-			// recovery just replays more. Surface the failure without
-			// failing the cycle.
-			j.logger.Warn("periodic checkpoint failed", slog.Any("err", cerr))
-		}
-	}
-	if age, ok := j.CheckpointAge(); ok {
-		j.reg.Gauge(MetricCheckpointAge).Set(age.Seconds())
-	}
-	return nil
+	return durable()
 }
 
 // CycleCommittedDetached implements core.DetachedCycleJournal: the
-// two-phase commit the pipelined campaign runner overlaps on.
+// journal's one commit body, whose durable phase core.RunCampaign
+// overlaps with the next cycle's compute.
 //
 // The capture phase (this call) decides whether the commit will
-// checkpoint — the cadence the synchronous path would use — and, if
-// so, captures the checkpoint payload from live state: through the
+// checkpoint and, if so, captures the checkpoint payload from live
+// state: through the
 // SetSnapshot seam when one is installed (cheap capture, deferred
 // encode), otherwise by running the save callback into a buffer right
 // here. Either way the returned closure touches no live system state.
 //
 // The durable phase (the returned closure) appends the cycle record to
-// the WAL — a failure there fails the cycle, exactly like
-// CycleCommitted — and then writes the checkpoint if one was captured;
+// the WAL — a failure there fails the cycle — and then writes the
+// checkpoint if one was captured;
 // a checkpoint failure is logged and counted but does not fail the
 // cycle, because the WAL append already made it durable.
 func (j *Journal) CycleCommittedDetached(rec core.JournalCycle) (func() error, error) {

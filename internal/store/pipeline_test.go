@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"os"
@@ -9,20 +10,9 @@ import (
 	"testing"
 
 	"github.com/crowdlearn/crowdlearn/internal/core"
+	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/experiments"
 )
-
-// runCyclesPipelined mirrors runCycles through the pipelined campaign
-// runner, so store-backed detached commits — WAL fsync and checkpoint
-// writes overlapping the next cycle's compute — are exercised for real.
-func runCyclesPipelined(t testing.TB, sys *core.CrowdLearn, env *experiments.Env, start, n int) {
-	t.Helper()
-	cfg := core.CampaignConfig{Cycles: n, ImagesPerCycle: imagesPerCycle, StartCycle: start}
-	images := env.Dataset.Test[start*imagesPerCycle : (start+n)*imagesPerCycle]
-	if _, err := core.RunCampaignPipelined(sys, images, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // journaledSystem opens a store in dir and wires a fresh system to it
 // through a journal with the snapshot-then-encode seam installed, the
@@ -49,40 +39,112 @@ func journaledSystem(t testing.TB, env *experiments.Env, dir string, every int) 
 	return sys, st, journal
 }
 
-// TestPipelinedJournalBitIdenticalToSequential: the same campaign run
-// through RunCampaign and RunCampaignPipelined against two stores must
-// leave byte-identical WAL files and final system state. This is the
-// on-disk half of the §9 pipeline contract — detached commits with
+// plainJournal hides a Journal's detachable commit: wrapped in it, the
+// journal cannot detach, so every commit runs Journal.CycleCommitted on
+// the cycle's goroutine.
+type plainJournal struct{ core.CycleJournal }
+
+// dirFiles reads every file of a state directory, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// encodeOutputs gob-encodes cycle outputs for a byte comparison.
+func encodeOutputs(t *testing.T, outs []core.CycleOutput) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for i, out := range outs {
+		if err := enc.Encode(out); err != nil {
+			t.Fatalf("encode output %d: %v", i, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestPipelinedJournalBitIdenticalToSequential: a campaign run through
+// RunCampaign, whose store commits detach, must leave the same cycle
+// outputs, byte-identical WAL and checkpoint files and the same final
+// system state as RunCycle called cycle by cycle over a journal that
+// cannot detach and has no snapshot seam. This is the on-disk half of
+// the §9 pipeline contract — detached commits with
 // snapshot-then-encode checkpoints change nothing the store persists.
 func TestPipelinedJournalBitIdenticalToSequential(t *testing.T) {
 	env := testEnv(t)
-
 	seqDir, pipeDir := t.TempDir(), t.TempDir()
-	seqSys, seqStore, _ := journaledSystem(t, env, seqDir, 4)
-	runCycles(t, seqSys, env, 0, totalCycles)
+	images := env.Dataset.Test[:totalCycles*imagesPerCycle]
+
+	seqStore, err := Open(Options{Dir: seqDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqSys *core.CrowdLearn
+	journal := NewJournal(seqStore, 4, func(w io.Writer) error { return seqSys.SaveState(w) }, testLogger(t), nil)
+	seqSys, err = env.NewSystemWith(func(cfg *core.Config) { cfg.Journal = plainJournal{journal} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqOut []core.CycleOutput
+	for c := 0; c < totalCycles; c++ {
+		out, err := seqSys.RunCycle(core.CycleInput{
+			Index:   c,
+			Context: crowd.TemporalContext(c % crowd.NumContexts),
+			Images:  images[c*imagesPerCycle : (c+1)*imagesPerCycle],
+		})
+		if err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		seqOut = append(seqOut, out)
+	}
 	if err := seqStore.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	pipeSys, pipeStore, _ := journaledSystem(t, env, pipeDir, 4)
-	runCyclesPipelined(t, pipeSys, env, 0, totalCycles)
+	res, err := core.RunCampaign(pipeSys, images, core.CampaignConfig{Cycles: totalCycles, ImagesPerCycle: imagesPerCycle})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := pipeStore.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var pipeOut []core.CycleOutput
+	for _, rec := range res.Records {
+		pipeOut = append(pipeOut, rec.Output)
+	}
 
-	seqWAL, err := os.ReadFile(filepath.Join(seqDir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(encodeOutputs(t, pipeOut), encodeOutputs(t, seqOut)) {
+		t.Error("pipelined cycle outputs differ from the RunCycle loop")
 	}
-	pipeWAL, err := os.ReadFile(filepath.Join(pipeDir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
+	seqFiles, pipeFiles := dirFiles(t, seqDir), dirFiles(t, pipeDir)
+	if _, ok := seqFiles["wal.log"]; !ok {
+		t.Fatalf("reference directory holds no WAL: %d files", len(seqFiles))
 	}
-	if !bytes.Equal(seqWAL, pipeWAL) {
-		t.Errorf("pipelined WAL differs from sequential: %d bytes vs %d", len(pipeWAL), len(seqWAL))
+	if len(pipeFiles) != len(seqFiles) {
+		t.Errorf("pipelined directory holds %d files, reference %d", len(pipeFiles), len(seqFiles))
+	}
+	for name, want := range seqFiles {
+		if got, ok := pipeFiles[name]; !ok {
+			t.Errorf("pipelined directory lacks %s", name)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("pipelined %s differs from the reference: %d bytes vs %d", name, len(got), len(want))
+		}
 	}
 	if got, want := stateBytes(t, pipeSys), stateBytes(t, seqSys); !bytes.Equal(got, want) {
-		t.Error("pipelined final state differs from sequential")
+		t.Error("pipelined final state differs from the reference")
 	}
 }
 
@@ -133,7 +195,7 @@ func TestPipelinedCrashRecoveryBitIdentical(t *testing.T) {
 	})
 
 	cfg := core.CampaignConfig{Cycles: cyclesBeforeCrash + 1, ImagesPerCycle: imagesPerCycle}
-	_, err = core.RunCampaignPipelined(sys, env.Dataset.Test[:(cyclesBeforeCrash+1)*imagesPerCycle], cfg)
+	_, err = core.RunCampaign(sys, env.Dataset.Test[:(cyclesBeforeCrash+1)*imagesPerCycle], cfg)
 	if err == nil {
 		t.Fatal("campaign survived the simulated commit crash")
 	}
@@ -161,7 +223,7 @@ func TestPipelinedCrashRecoveryBitIdentical(t *testing.T) {
 	if report.NextCycle != cyclesBeforeCrash {
 		t.Fatalf("recovery resumes at cycle %d, want %d", report.NextCycle, cyclesBeforeCrash)
 	}
-	runCyclesPipelined(t, restored, env, cyclesBeforeCrash, cyclesAfterCrash)
+	runCycles(t, restored, env, cyclesBeforeCrash, cyclesAfterCrash)
 	if got := stateBytes(t, restored); !bytes.Equal(got, want) {
 		t.Error("recovered pipelined arm diverged from the uninterrupted reference")
 	}
