@@ -8,17 +8,16 @@
 // per-stage attribution ranking which pipeline stage the multi-worker
 // slowdown comes from.
 //
-// Writing with -o is append-with-history: the previous document's
-// current record is pushed onto a bounded history, so the committed
-// BENCH_*.json carries the performance trajectory, not just the latest
-// point.
+// Writing with -o is append-with-history (internal/trajectory): the
+// previous document's current record is pushed onto a bounded history,
+// so the committed BENCH_*.json carries the performance trajectory, not
+// just the latest point.
 //
-// With -gate the run doubles as a CI regression gate: the fresh results
-// are compared against the baseline document's current record and the
-// process exits non-zero when any benchmark regresses beyond the
-// thresholds (ns/op and allocs/op, -max-ns-regress / -max-allocs-regress
-// percent). The output document is still written first, so CI can upload
-// it as an artifact even on failure.
+// With -gate the run doubles as a CI regression gate: each fresh result
+// is paired with the baseline document's result of the same name at the
+// same GOMAXPROCS, and the process exits non-zero when ns/op grows more
+// than 20% or allocs/op more than 10%. The output document is still
+// written first, so CI can upload it as an artifact even on failure.
 //
 // Usage:
 //
@@ -36,13 +35,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/crowdlearn/crowdlearn/internal/trajectory"
+)
+
+const (
+	schema = "crowdlearn-bench/2"
+	retain = 12 // history records kept
+	// The -gate limits, in percent over the baseline.
+	maxNsRegressPct     = 20
+	maxAllocsRegressPct = 10
 )
 
 // Result is one parsed benchmark line.
@@ -85,28 +93,16 @@ type Report struct {
 	// Speedups maps each benchmark family with workers=N sub-benchmarks
 	// to the ns/op ratio of workers=1 over workers=N, and each family
 	// with mode=X sub-benchmarks to the ratio of mode=sequential over
-	// mode=X. Values scale with the core count of the recording machine.
+	// mode=X. A family is keyed per GOMAXPROCS the way go test names
+	// it: "BenchmarkRunCycleParallel" at 1, "BenchmarkRunCycleParallel-2"
+	// at 2.
 	Speedups map[string]map[string]float64 `json:"speedups,omitempty"`
-	// Attribution ranks, per workers=N family, the pipeline stages by
-	// their contribution to the multi-worker slowdown, derived from the
-	// per-stage extras the instrumented benchmarks report.
+	// Attribution ranks, per workers=N family (keyed as Speedups), the
+	// pipeline stages by their contribution to the multi-worker
+	// slowdown, derived from the per-stage extras the instrumented
+	// benchmarks report.
 	Attribution map[string][]StageDelta `json:"attribution,omitempty"`
 }
-
-// Trajectory is the committed benchmark document: the latest record plus
-// the records it replaced, newest first, bounded by -retain.
-type Trajectory struct {
-	// Schema identifies the document version ("crowdlearn-bench/2").
-	Schema string `json:"schema"`
-	// Current is the most recent record.
-	Current *Report `json:"current"`
-	// History holds prior records, newest first.
-	History []*Report `json:"history,omitempty"`
-}
-
-// schemaV2 marks the trajectory document format. Plain v1 files (a bare
-// Report) are still read as baselines and history seeds.
-const schemaV2 = "crowdlearn-bench/2"
 
 // StageDelta is one pipeline stage's multi-worker behaviour within a
 // benchmark family, keyed by the workers label ("1", "2", ...). A
@@ -136,29 +132,14 @@ func parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	headers := map[string]*string{"goos": &rep.Goos, "goarch": &rep.Goarch, "cpu": &rep.CPU, "pkg": &rep.Pkg}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		// Header lines repeat per package when several `go test` runs are
 		// concatenated; the first occurrence wins.
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			if rep.Goos == "" {
-				rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			}
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			if rep.Goarch == "" {
-				rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			}
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			if rep.CPU == "" {
-				rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			}
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			if rep.Pkg == "" {
-				rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		if key, val, _ := strings.Cut(line, ":"); headers[key] != nil {
+			if *headers[key] == "" {
+				*headers[key] = strings.TrimSpace(val)
 			}
 			continue
 		}
@@ -209,14 +190,17 @@ func parse(r io.Reader) (*Report, error) {
 	return rep, nil
 }
 
+// The name patterns capture the family, the sub-benchmark label and the
+// -N GOMAXPROCS suffix; family plus suffix keys a speedup family, so
+// runs at different GOMAXPROCS never share one.
 var (
-	workersName = regexp.MustCompile(`^(Benchmark\S+)/workers=(\d+)(?:-\d+)?$`)
+	workersName = regexp.MustCompile(`^(Benchmark\S+)/workers=(\d+)(-\d+)?$`)
 	// workersLabel finds a workers sub-label anywhere in a benchmark
 	// name, including under further sub-benchmark path segments.
 	workersLabel = regexp.MustCompile(`/workers=(\d+)`)
 	// modeName matches execution-mode sub-benchmarks; mode=sequential
 	// is the speedup baseline for its family.
-	modeName = regexp.MustCompile(`^(Benchmark\S+)/mode=([A-Za-z]+)(?:-\d+)?$`)
+	modeName = regexp.MustCompile(`^(Benchmark\S+)/mode=([A-Za-z]+)(-\d+)?$`)
 )
 
 // speedups derives the workers=1 / workers=N ns/op ratio per benchmark
@@ -236,7 +220,7 @@ func speedups(results []Result) map[string]map[string]float64 {
 		if err != nil {
 			continue
 		}
-		families[m[1]] = append(families[m[1]], entry{workers: w, ns: r.NsPerOp})
+		families[m[1]+m[3]] = append(families[m[1]+m[3]], entry{workers: w, ns: r.NsPerOp})
 	}
 	out := make(map[string]map[string]float64)
 	for fam, entries := range families {
@@ -261,10 +245,11 @@ func speedups(results []Result) map[string]map[string]float64 {
 		if m == nil || r.NsPerOp <= 0 {
 			continue
 		}
-		if modes[m[1]] == nil {
-			modes[m[1]] = make(map[string]float64)
+		fam := m[1] + m[3]
+		if modes[fam] == nil {
+			modes[fam] = make(map[string]float64)
 		}
-		modes[m[1]][m[2]] = r.NsPerOp
+		modes[fam][m[2]] = r.NsPerOp
 	}
 	for fam, byMode := range modes {
 		base, ok := byMode["sequential"]
@@ -302,7 +287,7 @@ func attribution(results []Result) map[string][]StageDelta {
 		if m == nil || len(r.Extra) == 0 {
 			continue
 		}
-		fam, workers := m[1], m[2]
+		fam, workers := m[1]+m[3], m[2]
 		for unit, v := range r.Extra {
 			em := stageExtra.FindStringSubmatch(unit)
 			if em == nil {
@@ -358,99 +343,61 @@ func attribution(results []Result) map[string][]StageDelta {
 	return out
 }
 
-// readTrajectory loads a baseline/previous document, accepting both the
-// v2 trajectory format and a bare v1 report. A missing file returns
-// (nil, nil); a malformed one errors rather than silently dropping the
-// trajectory.
-func readTrajectory(path string) (*Trajectory, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var traj Trajectory
-	if err := json.Unmarshal(data, &traj); err == nil && traj.Schema == schemaV2 && traj.Current != nil {
-		return &traj, nil
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err == nil && len(rep.Benchmarks) > 0 {
-		return &Trajectory{Schema: schemaV2, Current: &rep}, nil
-	}
-	return nil, fmt.Errorf("%s is neither a %s trajectory nor a v1 benchmark report", path, schemaV2)
-}
-
 // cpuSuffix is the -N GOMAXPROCS suffix go test appends to benchmark
-// names; it is stripped for cross-run matching so a baseline recorded at
-// a different core count still pairs up.
+// names run at GOMAXPROCS > 1.
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
 
-// regression is one benchmark metric that got worse beyond its
-// threshold.
-type regression struct {
-	Name     string  `json:"name"`
-	Metric   string  `json:"metric"` // "ns/op" or "allocs/op"
-	Base     float64 `json:"base"`
-	New      float64 `json:"new"`
-	LimitPct float64 `json:"limitPct"`
-}
-
-func (r regression) String() string {
-	pct := 0.0
-	if r.Base > 0 {
-		pct = 100 * (r.New - r.Base) / r.Base
-	}
-	return fmt.Sprintf("%s %s: %.4g -> %.4g (%+.1f%%, limit +%.0f%%)",
-		r.Name, r.Metric, r.Base, r.New, pct, r.LimitPct)
-}
-
-// gateCompare pairs the fresh report's benchmarks with the baseline (by
-// name, cpu suffix stripped) and returns every metric that regressed
-// beyond its threshold. Benchmarks present on only one side are skipped:
-// the gate checks trajectories, not coverage.
-func gateCompare(base, cur *Report, maxNsPct, maxAllocsPct float64) []regression {
+// gateCompare pairs the fresh report's benchmarks with the baseline's
+// and returns one check per paired metric: ns/op may grow at most
+// maxNsPct percent, allocs/op at most maxAllocsPct. Pairing is by full
+// name, which carries the -N suffix, so a result is judged only against
+// the baseline run at the same GOMAXPROCS. Benchmarks present on only
+// one side are skipped: the gate checks trajectories, not coverage.
+func gateCompare(base, cur *Report, maxNsPct, maxAllocsPct float64) []trajectory.Check {
 	baseline := make(map[string]Result, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		baseline[cpuSuffix.ReplaceAllString(b.Name, "")] = b
+		baseline[b.Name] = b
 	}
-	var regs []regression
+	var checks []trajectory.Check
 	for _, b := range cur.Benchmarks {
-		bl, ok := baseline[cpuSuffix.ReplaceAllString(b.Name, "")]
+		bl, ok := baseline[b.Name]
 		if !ok {
 			continue
 		}
-		if bl.NsPerOp > 0 && b.NsPerOp > bl.NsPerOp*(1+maxNsPct/100) {
-			regs = append(regs, regression{Name: b.Name, Metric: "ns/op",
-				Base: bl.NsPerOp, New: b.NsPerOp, LimitPct: maxNsPct})
+		if bl.NsPerOp > 0 {
+			checks = append(checks, trajectory.Check{
+				Name:  fmt.Sprintf("%s ns/op (baseline %.4g +%g%%)", b.Name, bl.NsPerOp, maxNsPct),
+				Value: b.NsPerOp, Limit: bl.NsPerOp * (1 + maxNsPct/100), Better: trajectory.Lower})
 		}
 		if bl.AllocsPerOp != nil && b.AllocsPerOp != nil {
-			limit := *bl.AllocsPerOp * (1 + maxAllocsPct/100)
-			if *b.AllocsPerOp > limit {
-				regs = append(regs, regression{Name: b.Name, Metric: "allocs/op",
-					Base: *bl.AllocsPerOp, New: *b.AllocsPerOp, LimitPct: maxAllocsPct})
-			}
+			checks = append(checks, trajectory.Check{
+				Name:  fmt.Sprintf("%s allocs/op (baseline %.4g +%g%%)", b.Name, *bl.AllocsPerOp, maxAllocsPct),
+				Value: *b.AllocsPerOp, Limit: *bl.AllocsPerOp * (1 + maxAllocsPct/100), Better: trajectory.Lower})
 		}
 	}
-	return regs
+	return checks
 }
 
-// checkMinSpeedups enforces a comma-separated list of
-// "Family:label:min" assertions against the report's computed
-// speedups. The check is only meaningful on a multi-core runner: when
-// every parsed benchmark ran at GOMAXPROCS=1, each assertion is
-// skipped with a printed notice instead of failing, so single-core CI
-// runners do not produce false regressions (the grain policy collapses
-// multi-worker loops inline there and the expected ratio is ~1.0 at
-// best).
-func checkMinSpeedups(rep *Report, spec string) error {
+// checkMinSpeedups turns a comma-separated list of "Family:label:min"
+// floors into checks against the report's speedups at the largest
+// GOMAXPROCS the run used. The floors are only meaningful on a
+// multi-core runner: when every parsed benchmark ran at GOMAXPROCS=1,
+// each is skipped with a printed notice instead of failing, so
+// single-core CI runners do not produce false regressions (one P runs
+// one goroutine at a time, so the expected ratio is ~1.0 at best). A
+// malformed entry or a floor on a speedup the run did not record is an
+// error.
+func checkMinSpeedups(rep *Report, spec string) ([]trajectory.Check, error) {
 	maxProcs := 1
 	for _, b := range rep.Benchmarks {
-		if b.GoMaxProcs > maxProcs {
-			maxProcs = b.GoMaxProcs
-		}
+		maxProcs = max(maxProcs, b.GoMaxProcs)
 	}
-	var failures []string
+	suffix := ""
+	if maxProcs > 1 {
+		suffix = fmt.Sprintf("-%d", maxProcs)
+	}
+	var checks []trajectory.Check
+	var errs []error
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -458,31 +405,26 @@ func checkMinSpeedups(rep *Report, spec string) error {
 		}
 		parts := strings.Split(entry, ":")
 		if len(parts) != 3 {
-			return fmt.Errorf("invalid -min-speedup entry %q (want Family:label:min)", entry)
+			return nil, fmt.Errorf("invalid -min-speedup entry %q (want Family:label:min)", entry)
 		}
 		min, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil {
-			return fmt.Errorf("invalid -min-speedup threshold in %q: %w", entry, err)
+			return nil, fmt.Errorf("invalid -min-speedup threshold in %q: %w", entry, err)
 		}
 		if maxProcs <= 1 {
 			fmt.Fprintf(os.Stderr, "benchjson: min-speedup %s SKIPPED: run executed at GOMAXPROCS=1 (single-core runner cannot demonstrate parallel speedup)\n", entry)
 			continue
 		}
-		got, ok := rep.Speedups[parts[0]][parts[1]]
+		fam := parts[0] + suffix
+		got, ok := rep.Speedups[fam][parts[1]]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: no speedup recorded for label %q", parts[0], parts[1]))
+			errs = append(errs, fmt.Errorf("min-speedup %s: no speedup recorded for label %q", fam, parts[1]))
 			continue
 		}
-		if got < min {
-			failures = append(failures, fmt.Sprintf("%s[%s] = %.3fx, want >= %.3fx", parts[0], parts[1], got, min))
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: min-speedup %s passed (%.3fx)\n", entry, got)
+		checks = append(checks, trajectory.Check{
+			Name: fmt.Sprintf("%s[%s] speedup", fam, parts[1]), Value: got, Limit: min, Better: trajectory.Higher})
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("min-speedup gate failed: %s", strings.Join(failures, "; "))
-	}
-	return nil
+	return checks, errors.Join(errs...)
 }
 
 func main() {
@@ -495,16 +437,10 @@ func main() {
 func run(args []string, in io.Reader) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout); an existing trajectory there is extended, its current record moving into history")
-	retain := fs.Int("retain", 12, "history records kept in the trajectory document")
-	gate := fs.String("gate", "", "baseline trajectory to compare against; regressions beyond the thresholds fail the run after the output is written")
-	maxNs := fs.Float64("max-ns-regress", 20, "ns/op regression threshold for -gate, percent over baseline")
-	maxAllocs := fs.Float64("max-allocs-regress", 10, "allocs/op regression threshold for -gate, percent over baseline")
-	minSpeedup := fs.String("min-speedup", "", "comma-separated Family:label:min entries asserted against the run's computed speedups, e.g. BenchmarkRunCycleParallel:4:1.0; skipped with a notice when the run executed at GOMAXPROCS=1")
+	gate := fs.String("gate", "", "baseline trajectory to compare against; regressions beyond the limits fail the run after the output is written")
+	minSpeedup := fs.String("min-speedup", "", "comma-separated Family:label:min entries asserted against the run's computed speedups at its largest GOMAXPROCS, e.g. BenchmarkRunCycleParallel:4:1.0; skipped with a notice when the run executed at GOMAXPROCS=1")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *retain < 0 {
-		return fmt.Errorf("invalid -retain %d: must be non-negative", *retain)
 	}
 	rep, err := parse(in)
 	if err != nil {
@@ -515,67 +451,56 @@ func run(args []string, in io.Reader) error {
 	}
 	rep.RecordedAt = time.Now().UTC().Format(time.RFC3339)
 
-	var gateErr error
-	if *minSpeedup != "" {
-		if err := checkMinSpeedups(rep, *minSpeedup); err != nil {
-			gateErr = err
-		}
-	}
-	var baseline *Trajectory
+	checks, gateErr := checkMinSpeedups(rep, *minSpeedup)
+	floors := len(checks)
+	var baseline *trajectory.Document
 	if *gate != "" {
-		baseline, err = readTrajectory(*gate)
-		if err != nil {
+		if baseline, err = trajectory.Read(*gate, schema); err != nil {
 			return err
 		}
 		if baseline == nil {
 			return fmt.Errorf("gate baseline %s does not exist", *gate)
 		}
-		regs := gateCompare(baseline.Current, rep, *maxNs, *maxAllocs)
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "benchjson: REGRESSION", r)
+		var base Report
+		if err := json.Unmarshal(baseline.Current, &base); err != nil {
+			return fmt.Errorf("gate baseline %s: %w", *gate, err)
 		}
-		if len(regs) > 0 {
-			gateErr = errors.Join(gateErr, fmt.Errorf("bench gate failed: %d regression(s) against %s", len(regs), *gate))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: gate passed, %d benchmark(s) within +%.0f%% ns/op / +%.0f%% allocs/op of %s\n",
-				len(rep.Benchmarks), *maxNs, *maxAllocs, *gate)
+		checks = append(checks, gateCompare(&base, rep, maxNsRegressPct, maxAllocsRegressPct)...)
+	}
+	gateErr = errors.Join(gateErr, trajectory.Gate(checks))
+	if gateErr == nil && len(checks) > 0 {
+		for _, c := range checks[:floors] {
+			fmt.Fprintln(os.Stderr, "benchjson: GATE OK:", c)
 		}
+		fmt.Fprintf(os.Stderr, "benchjson: gate passed, %d check(s) within limits\n", len(checks))
 	}
 
 	// Append-with-history: the previous document at -o seeds the
 	// history; with a fresh -o (a CI artifact) the gate baseline does,
 	// so the artifact still carries the trajectory it was judged
 	// against.
-	traj := &Trajectory{Schema: schemaV2, Current: rep}
-	var prev *Trajectory
+	prev := baseline
 	if *out != "" {
-		if prev, err = readTrajectory(*out); err != nil {
+		doc, err := trajectory.Read(*out, schema)
+		if err != nil {
 			return err
 		}
-	}
-	if prev == nil {
-		prev = baseline
-	}
-	if prev != nil {
-		traj.History = append([]*Report{prev.Current}, prev.History...)
-		if len(traj.History) > *retain {
-			traj.History = traj.History[:*retain]
+		if doc != nil {
+			prev = doc
 		}
 	}
-
-	data, err := json.MarshalIndent(traj, "", "  ")
+	doc, err := trajectory.Append(prev, schema, rep, retain)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if *out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-		return gateErr
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	data, err := doc.Marshal()
+	if err != nil {
 		return err
 	}
-	return gateErr
+	if *out == "" {
+		_, err = os.Stdout.Write(data)
+	} else {
+		err = os.WriteFile(*out, data, 0o644)
+	}
+	return errors.Join(err, gateErr)
 }

@@ -3,10 +3,11 @@ package main
 import (
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/crowdlearn/crowdlearn/internal/trajectory"
 )
 
 const sample = `goos: linux
@@ -82,21 +83,30 @@ func TestModeSpeedups(t *testing.T) {
 	}
 }
 
+// minSpeedupGate runs the -min-speedup floors through the gate rule.
+func minSpeedupGate(rep *Report, spec string) error {
+	checks, err := checkMinSpeedups(rep, spec)
+	if err != nil {
+		return err
+	}
+	return trajectory.Gate(checks)
+}
+
 func TestMinSpeedupGate(t *testing.T) {
 	multi, err := parse(strings.NewReader(sample)) // -8 suffix: multi-core run
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkMinSpeedups(multi, "BenchmarkRunCycleParallel:4:1.0"); err != nil {
+	if err := minSpeedupGate(multi, "BenchmarkRunCycleParallel:4:1.0"); err != nil {
 		t.Errorf("3.6x speedup failed a 1.0x floor: %v", err)
 	}
-	if err := checkMinSpeedups(multi, "BenchmarkRunCycleParallel:4:5.0"); err == nil {
+	if err := minSpeedupGate(multi, "BenchmarkRunCycleParallel:4:5.0"); err == nil {
 		t.Error("3.6x speedup passed a 5.0x floor")
 	}
-	if err := checkMinSpeedups(multi, "BenchmarkRunCycleParallel:16:1.0"); err == nil {
+	if err := minSpeedupGate(multi, "BenchmarkRunCycleParallel:16:1.0"); err == nil {
 		t.Error("missing label passed the gate")
 	}
-	if err := checkMinSpeedups(multi, "garbage"); err == nil {
+	if err := minSpeedupGate(multi, "garbage"); err == nil {
 		t.Error("malformed entry accepted")
 	}
 	// A GOMAXPROCS=1 run skips the assertion instead of failing.
@@ -104,7 +114,7 @@ func TestMinSpeedupGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkMinSpeedups(single, "BenchmarkRunCyclePipelined:pipelined:99"); err != nil {
+	if err := minSpeedupGate(single, "BenchmarkRunCyclePipelined:pipelined:99"); err != nil {
 		t.Errorf("single-core run must skip, got %v", err)
 	}
 }
@@ -114,7 +124,7 @@ func TestSpeedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam, ok := rep.Speedups["BenchmarkRunCycleParallel"]
+	fam, ok := rep.Speedups["BenchmarkRunCycleParallel-8"]
 	if !ok {
 		t.Fatalf("no speedup family: %+v", rep.Speedups)
 	}
@@ -124,7 +134,7 @@ func TestSpeedups(t *testing.T) {
 			t.Errorf("speedup[%s] = %v, want %v", k, got, v)
 		}
 	}
-	if _, ok := rep.Speedups["BenchmarkCommitteeVote"]; ok {
+	if len(rep.Speedups) != 1 {
 		t.Error("non-workers benchmark must not produce a speedup family")
 	}
 }
@@ -149,7 +159,7 @@ func TestAttributionRanksSlowestStageFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, ok := rep.Attribution["BenchmarkRunCycleParallel"]
+	stages, ok := rep.Attribution["BenchmarkRunCycleParallel-8"]
 	if !ok {
 		t.Fatalf("no attribution family: %+v", rep.Attribution)
 	}
@@ -171,87 +181,66 @@ func TestAttributionRanksSlowestStageFirst(t *testing.T) {
 	}
 }
 
-// writeRun drives run() with -o into dir and returns the decoded
-// trajectory.
-func writeRun(t *testing.T, args []string, input, path string) (*Trajectory, error) {
+// writeRun drives run() with -o into dir and returns the written
+// document and its decoded current record.
+func writeRun(t *testing.T, args []string, input, path string) (*trajectory.Document, *Report, error) {
 	t.Helper()
 	err := run(append(args, "-o", path), strings.NewReader(input))
-	data, rerr := os.ReadFile(path)
+	doc, rerr := trajectory.Read(path, schema)
 	if rerr != nil {
-		return nil, err
+		t.Fatalf("output at %s is not a trajectory: %v", path, rerr)
 	}
-	var traj Trajectory
-	if jerr := json.Unmarshal(data, &traj); jerr != nil {
-		t.Fatalf("output at %s is not a trajectory: %v", path, jerr)
+	if doc == nil {
+		return nil, nil, err
 	}
-	return &traj, err
+	var cur Report
+	if derr := json.Unmarshal(doc.Current, &cur); derr != nil {
+		t.Fatalf("current record at %s: %v", path, derr)
+	}
+	return doc, &cur, err
 }
 
 func TestTrajectoryAppendsHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	traj, err := writeRun(t, nil, sample, path)
+	doc, cur, err := writeRun(t, nil, sample, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if traj.Schema != schemaV2 || traj.Current == nil || len(traj.History) != 0 {
-		t.Fatalf("first write = schema %q, %d history entries", traj.Schema, len(traj.History))
+	if doc.Schema != schema || len(doc.History) != 0 {
+		t.Fatalf("first write = schema %q, %d history entries", doc.Schema, len(doc.History))
 	}
-	if traj.Current.RecordedAt == "" {
+	if cur.RecordedAt == "" {
 		t.Error("current record missing recordedAt stamp")
 	}
-	traj, err = writeRun(t, nil, sampleWithStages, path)
+	doc, cur, err = writeRun(t, nil, sampleWithStages, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traj.History) != 1 {
-		t.Fatalf("second write kept %d history entries, want 1", len(traj.History))
+	if len(doc.History) != 1 {
+		t.Fatalf("second write kept %d history entries, want 1", len(doc.History))
 	}
-	if len(traj.History[0].Benchmarks) != 4 {
-		t.Errorf("history entry has %d benchmarks, want the first run's 4", len(traj.History[0].Benchmarks))
+	var first Report
+	if err := json.Unmarshal(doc.History[0], &first); err != nil {
+		t.Fatal(err)
 	}
-	if len(traj.Current.Benchmarks) != 2 {
-		t.Errorf("current has %d benchmarks, want the second run's 2", len(traj.Current.Benchmarks))
+	if len(first.Benchmarks) != 4 {
+		t.Errorf("history entry has %d benchmarks, want the first run's 4", len(first.Benchmarks))
+	}
+	if len(cur.Benchmarks) != 2 {
+		t.Errorf("current has %d benchmarks, want the second run's 2", len(cur.Benchmarks))
 	}
 }
 
 func TestTrajectoryRetainBoundsHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	for i := 0; i < 5; i++ {
-		if _, err := writeRun(t, []string{"-retain", "2"}, sample, path); err != nil {
+	for i := 0; i < retain+3; i++ {
+		if _, _, err := writeRun(t, nil, sample, path); err != nil {
 			t.Fatal(err)
 		}
 	}
-	traj, _ := readTrajectory(path)
-	if len(traj.History) != 2 {
-		t.Errorf("retain=2 kept %d history entries", len(traj.History))
-	}
-}
-
-func TestReadTrajectoryAcceptsV1Report(t *testing.T) {
-	// A committed pre-trajectory BENCH_parallel.json is a bare report.
-	path := filepath.Join(t.TempDir(), "v1.json")
-	rep, err := parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := json.Marshal(rep)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	traj, err := readTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traj == nil || traj.Current == nil || len(traj.Current.Benchmarks) != 4 {
-		t.Fatalf("v1 report not adopted as baseline: %+v", traj)
-	}
-	if missing, err := readTrajectory(filepath.Join(t.TempDir(), "nope.json")); missing != nil || err != nil {
-		t.Errorf("missing file = (%v, %v), want (nil, nil)", missing, err)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	if _, err := readTrajectory(bad); err == nil {
-		t.Error("malformed baseline must error, not silently drop the trajectory")
+	doc, _, _ := writeRun(t, nil, sample, path)
+	if len(doc.History) != retain {
+		t.Errorf("kept %d history entries, want %d", len(doc.History), retain)
 	}
 }
 
@@ -260,18 +249,25 @@ func TestReadTrajectoryAcceptsV1Report(t *testing.T) {
 const gateSample = `goos: linux
 BenchmarkRunCycleParallel/workers=1-8 5 300000000 ns/op 1024 B/op 12 allocs/op
 BenchmarkRunCycleParallel/workers=2-8 10 126000000 ns/op 1100 B/op 14 allocs/op
-BenchmarkRunCycleParallel/workers=4-4 18 66000000 ns/op 1200 B/op 24 allocs/op
+BenchmarkRunCycleParallel/workers=4-8 18 66000000 ns/op 1200 B/op 24 allocs/op
 PASS
 `
+
+// failedChecks returns the checks the gate rule fails.
+func failedChecks(checks []trajectory.Check) []trajectory.Check {
+	var out []trajectory.Check
+	for _, c := range checks {
+		if c.Failed() {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
 func TestGateFailsOnRegression(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "BENCH.json")
-	if _, err := writeRun(t, nil, sample, baseline); err != nil {
-		t.Fatal(err)
-	}
-
-	base, err := readTrajectory(baseline)
+	_, base, err := writeRun(t, nil, sample, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,47 +275,102 @@ func TestGateFailsOnRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := gateCompare(base.Current, cur, 20, 10)
-	if len(regs) != 2 {
-		t.Fatalf("gateCompare found %d regressions, want 2: %v", len(regs), regs)
+	failed := failedChecks(gateCompare(base, cur, maxNsRegressPct, maxAllocsRegressPct))
+	if len(failed) != 2 {
+		t.Fatalf("gateCompare failed %d checks, want 2: %v", len(failed), failed)
 	}
-	byMetric := map[string]regression{}
-	for _, r := range regs {
-		byMetric[r.Metric] = r
+	if c := failed[0].Name; !strings.Contains(c, "workers=1-8 ns/op") {
+		t.Errorf("first failure is %q, want workers=1 ns/op", c)
 	}
-	if r := byMetric["ns/op"]; !strings.Contains(r.Name, "workers=1") {
-		t.Errorf("ns/op regression attributed to %q, want workers=1", r.Name)
-	}
-	// The workers=4 run pairs up despite its different -cpu suffix.
-	if r := byMetric["allocs/op"]; !strings.Contains(r.Name, "workers=4") {
-		t.Errorf("allocs/op regression attributed to %q, want workers=4", r.Name)
+	if c := failed[1].Name; !strings.Contains(c, "workers=4-8 allocs/op") {
+		t.Errorf("second failure is %q, want workers=4 allocs/op", c)
 	}
 
 	// End to end: the gate run fails but still writes the artifact with
 	// the baseline seeding its history.
 	artifact := filepath.Join(dir, "latest.json")
-	traj, err := writeRun(t, []string{"-gate", baseline}, gateSample, artifact)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Errorf("gate run = %v, want regression failure", err)
+	doc, _, err := writeRun(t, []string{"-gate", baseline}, gateSample, artifact)
+	if err == nil || !strings.Contains(err.Error(), "GATE FAIL: BenchmarkRunCycleParallel/workers=1-8 ns/op") {
+		t.Errorf("gate run = %v, want a workers=1 ns/op failure", err)
 	}
-	if traj == nil || len(traj.History) != 1 {
-		t.Fatalf("failing gate must still write the artifact with baseline history, got %+v", traj)
+	if doc == nil || len(doc.History) != 1 {
+		t.Fatalf("failing gate must still write the artifact with baseline history, got %+v", doc)
+	}
+}
+
+// sampleTwoProcs is a `-cpu 1,2` run: every benchmark twice, without a
+// suffix at GOMAXPROCS 1 and with -2 at GOMAXPROCS 2.
+const sampleTwoProcs = `goos: linux
+BenchmarkRunCycleParallel/workers=1 300 2000000 ns/op 80 allocs/op
+BenchmarkRunCycleParallel/workers=4 300 2100000 ns/op 80 allocs/op
+BenchmarkRunCycleParallel/workers=1-2 300 2000000 ns/op 80 allocs/op
+BenchmarkRunCycleParallel/workers=4-2 300 1000000 ns/op 80 allocs/op
+PASS
+`
+
+// TestGatePairsByGoMaxProcs pins that a -cpu 1,2 run is judged and
+// grouped per GOMAXPROCS: an unchanged rerun passes the gate, and each
+// GOMAXPROCS keeps its own speedup family.
+func TestGatePairsByGoMaxProcs(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "BENCH.json")
+	_, base, err := writeRun(t, nil, sampleTwoProcs, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parse(strings.NewReader(sampleTwoProcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := gateCompare(base, cur, maxNsRegressPct, maxAllocsRegressPct)
+	if len(checks) != 8 {
+		t.Errorf("paired %d checks, want 8 (4 rows x ns/op, allocs/op)", len(checks))
+	}
+	if failed := failedChecks(checks); len(failed) != 0 {
+		t.Errorf("unchanged rerun failed the gate: %v", failed)
+	}
+
+	want := map[string]map[string]float64{
+		"BenchmarkRunCycleParallel":   {"1": 1, "4": 2.0 / 2.1},
+		"BenchmarkRunCycleParallel-2": {"1": 1, "4": 2},
+	}
+	if len(cur.Speedups) != len(want) {
+		t.Fatalf("speedup families = %v, want one per GOMAXPROCS", cur.Speedups)
+	}
+	for fam, ratios := range want {
+		for label, v := range ratios {
+			if got := cur.Speedups[fam][label]; math.Abs(got-v) > 1e-9 {
+				t.Errorf("speedups[%s][%s] = %v, want %v", fam, label, got, v)
+			}
+		}
+	}
+	// The floor reads the largest GOMAXPROCS: 2x there, 0.95x at 1.
+	if err := minSpeedupGate(cur, "BenchmarkRunCycleParallel:4:1.5"); err != nil {
+		t.Errorf("2x speedup at GOMAXPROCS 2 failed a 1.5x floor: %v", err)
+	}
+	if err := run([]string{"-gate", baseline, "-min-speedup", "BenchmarkRunCycleParallel:4:1.5"},
+		strings.NewReader(sampleTwoProcs)); err != nil {
+		t.Errorf("unchanged -cpu 1,2 rerun failed end to end: %v", err)
 	}
 }
 
 func TestGatePassesWithinThresholds(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "BENCH.json")
-	if _, err := writeRun(t, nil, sample, baseline); err != nil {
+	_, base, err := writeRun(t, nil, sample, baseline)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeRun(t, []string{"-gate", baseline}, sample, filepath.Join(dir, "latest.json")); err != nil {
+	if _, _, err := writeRun(t, []string{"-gate", baseline}, sample, filepath.Join(dir, "latest.json")); err != nil {
 		t.Fatalf("identical results must pass the gate: %v", err)
 	}
-	// Loose thresholds tolerate the regressed sample.
-	args := []string{"-gate", baseline, "-max-ns-regress", "50", "-max-allocs-regress", "120"}
-	if _, err := writeRun(t, args, gateSample, filepath.Join(dir, "loose.json")); err != nil {
-		t.Fatalf("thresholds must be tunable: %v", err)
+	// Loose limits tolerate the regressed sample.
+	cur, err := parse(strings.NewReader(gateSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trajectory.Gate(gateCompare(base, cur, 50, 120)); err != nil {
+		t.Fatalf("limits must be tunable: %v", err)
 	}
 	if err := run([]string{"-gate", filepath.Join(dir, "absent.json")}, strings.NewReader(sample)); err == nil {
 		t.Error("missing gate baseline must error")

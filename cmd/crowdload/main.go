@@ -1,32 +1,27 @@
-// Command crowdload is the overload harness for the assessment
-// service: it stands up two real HTTP servers around a deterministic
-// stub scheme — one with adaptive admission control (internal/admission
-// wired through service.WithAdmission), one with the plain unbounded
-// queue — and drives both through the same open-loop arrival ramp
-// (0.5×, 1×, 1.5×, 2× of measured saturation) with hundreds to
-// thousands of concurrent POST /assess clients.
+// Command crowdload is the overload harness for the assessment service,
+// run on the real pipeline. It brings up the stack crowdlearnd runs with
+// -state-dir (lab, core.CrowdLearn, a WAL journal fsynced every cycle,
+// the service worker and its HTTP handler) on a loopback listener and
+// measures its closed-loop saturation. Two fresh stacks — one behind the
+// production admission ladder, one with the plain unbounded queue — then
+// take the same open-loop arrival ramp (0.5×, 1×, 1.5×, 2× of
+// saturation) of 10-image /assess batches rotating through four campaign
+// tags.
 //
 // Per step it records offered load, completions, shed (degraded)
-// responses, 429 rejections, p50/p99 latency, throughput and goodput
-// (in-SLO responses per second; AI-only shed responses count — a usable
+// responses, 429 rejections, errors, p50/p99 latency, throughput and
+// goodput: in-SLO responses per second, the SLO being 15× the measured
+// service time (1/saturation). AI-only shed responses count — a usable
 // label within the deadline is the point of degrading instead of
-// queueing). The run is committed as the BENCH_service.json trajectory
-// in the cmd/benchjson style: writing with -o pushes the previous
-// current record into a bounded history, so the file carries how
-// overload behaviour evolves across PRs.
+// queueing. The headline is goodputRatio, goodput at 2× over peak
+// goodput: the ladder keeps it near 1, the unbounded queue collapses it.
 //
-// The headline number is goodputRatio: goodput at 2× saturation over
-// peak goodput. With admission control the service sheds to AI-only
-// labels and keeps the ratio near 1; without it the unbounded queue
-// grows until every response misses the SLO and the ratio collapses.
-//
-// With -gate the run doubles as the CI load gate: the committed
-// baseline document must itself show the property (admission arm
-// goodputRatio >= -min-goodput-ratio), the fresh run must reproduce it,
-// and the fresh baseline arm must collapse (<= -max-baseline-ratio) —
-// proving the controller, not the machine, holds goodput up. The fresh
-// record is written to -o first either way so CI can upload it as an
-// artifact on failure.
+// Writing with -o appends the run to a trajectory document
+// (internal/trajectory). With -gate the committed document's admission
+// arm must hold a ratio >= 0.8, the fresh admission arm too, and the
+// fresh baseline arm must collapse to <= 0.5 — proving the controller,
+// not the machine, holds goodput up. The fresh record is written first
+// either way so CI can upload it on failure.
 //
 // Usage:
 //
@@ -42,221 +37,148 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/crowdlearn/crowdlearn/internal/admission"
+	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/core"
-	"github.com/crowdlearn/crowdlearn/internal/imagery"
+	"github.com/crowdlearn/crowdlearn/internal/crowd"
+	"github.com/crowdlearn/crowdlearn/internal/experiments"
 	"github.com/crowdlearn/crowdlearn/internal/obs"
 	"github.com/crowdlearn/crowdlearn/internal/service"
+	"github.com/crowdlearn/crowdlearn/internal/stats"
+	"github.com/crowdlearn/crowdlearn/internal/store"
 	"github.com/crowdlearn/crowdlearn/internal/supervise"
+	"github.com/crowdlearn/crowdlearn/internal/trajectory"
 )
 
-// loadScheme is the deterministic stand-in for a trained scheme: a full
-// sensing cycle burns a fixed service time, the degraded fast path a
-// fixed (much smaller) one, and labels derive from the image ID so the
-// handler always gets valid distributions.
-type loadScheme struct {
-	serviceTime  time.Duration
-	degradedTime time.Duration
-}
+const (
+	schema = "crowdlearn-load/2"
+	retain = 12 // history records kept
 
-func (s *loadScheme) Name() string { return "load-stub" }
+	batchSize     = 10 // the paper's sensing-cycle size
+	campaigns     = 4  // distinct fair-share buckets
+	step          = 2 * time.Second
+	clientTimeout = 2 * time.Second
+	sloFactor     = 15 // SLO = sloFactor × measured service time
+	probeClients  = 4
+	probeWindow   = 800 * time.Millisecond
 
-func (s *loadScheme) RunCycle(in core.CycleInput) (core.CycleOutput, error) {
-	time.Sleep(s.serviceTime)
-	return s.output(in, false), nil
-}
+	// The gate: admission keeps >= minGoodputRatio of its peak goodput
+	// at 2× saturation, the baseline <= maxBaselineRatio.
+	minGoodputRatio  = 0.8
+	maxBaselineRatio = 0.5
 
-// AssessDegraded is the AI-only shed tier the admission ladder degrades
-// to.
-func (s *loadScheme) AssessDegraded(in core.CycleInput) (core.CycleOutput, error) {
-	time.Sleep(s.degradedTime)
-	return s.output(in, true), nil
-}
+	checkpointEvery = 8 // crowdlearnd's -checkpoint-every default
+	// The lab's default IPD budget ($20 over 40 rounds) runs out after
+	// about 45 cycles; keep its $0.50-per-round pace over a horizon no
+	// run reaches, so every full cycle queries the crowd.
+	budgetHorizon  = 100_000
+	budgetPerRound = 20.0 / 40.0
+)
 
-func (s *loadScheme) output(in core.CycleInput, degraded bool) core.CycleOutput {
-	out := core.CycleOutput{
-		Distributions:  make([][]float64, len(in.Images)),
-		AlgorithmDelay: s.serviceTime,
-	}
-	for i, im := range in.Images {
-		d := make([]float64, imagery.NumLabels)
-		d[im.ID%imagery.NumLabels] = 1
-		out.Distributions[i] = d
-		if degraded {
-			out.Degraded = append(out.Degraded, i)
-		}
-	}
-	return out
-}
-
-var _ core.Scheme = (*loadScheme)(nil)
-var _ core.DegradedAssessor = (*loadScheme)(nil)
+// multipliers is the open-loop ramp; the gate reads the 2× step.
+var multipliers = []float64{0.5, 1, 1.5, 2}
 
 // StepRecord is one ramp step's client-side measurement.
 type StepRecord struct {
-	// Multiplier is the step's offered load as a fraction of measured
-	// saturation.
-	Multiplier float64 `json:"multiplier"`
-	// OfferedRPS is the open-loop arrival rate.
+	Multiplier float64 `json:"multiplier"` // offered load / saturation
 	OfferedRPS float64 `json:"offeredRps"`
-	// Offered counts requests launched this step.
-	Offered int `json:"offered"`
-	// Completed counts 2xx full-cycle responses.
-	Completed int `json:"completed"`
-	// Degraded counts 2xx shed (AI-only) responses.
-	Degraded int `json:"degraded"`
-	// Rejected counts 429 responses.
-	Rejected int `json:"rejected"`
-	// Errors counts transport failures and non-2xx/429 statuses.
+	Offered    int     `json:"offered"`   // requests launched
+	Completed  int     `json:"completed"` // 200 full-cycle answers
+	Degraded   int     `json:"degraded"`  // 200 shed (AI-only) answers
+	Rejected   int     `json:"rejected"`  // 429s
+	// Errors counts transport failures, statuses other than 200 and 429,
+	// and 200s that do not decode into one assessment per image.
 	Errors int `json:"errors"`
-	// Late counts 2xx responses that missed the SLO deadline.
-	Late int `json:"late"`
-	// P50Ms / P99Ms are response-latency percentiles over 2xx and 429
-	// responses (milliseconds).
-	P50Ms float64 `json:"p50Ms"`
-	P99Ms float64 `json:"p99Ms"`
-	// ThroughputRPS is 2xx responses per second of step wall time.
-	ThroughputRPS float64 `json:"throughputRps"`
-	// GoodputRPS is in-SLO 2xx responses per second of step wall time.
-	GoodputRPS float64 `json:"goodputRps"`
+	Late   int `json:"late"` // answers that missed the SLO
+	// P50Ms / P99Ms are latency quantiles over answers and 429s.
+	P50Ms         float64 `json:"p50Ms"`
+	P99Ms         float64 `json:"p99Ms"`
+	ThroughputRPS float64 `json:"throughputRps"` // answers per second
+	GoodputRPS    float64 `json:"goodputRps"`    // in-SLO answers per second
 }
 
-// ArmReport is one server configuration's run through the ramp.
+// ArmReport is one stack configuration's run through the ramp.
 type ArmReport struct {
-	// Name is "admission" or "baseline".
-	Name string `json:"name"`
-	// Admission reports whether the arm ran with the overload controller.
-	Admission bool `json:"admission"`
-	// Steps are the ramp measurements in offered-load order.
-	Steps []StepRecord `json:"steps"`
-	// PeakGoodputRPS is the best goodput over all steps.
-	PeakGoodputRPS float64 `json:"peakGoodputRps"`
-	// GoodputAt2xRPS is the goodput at the 2× saturation step.
-	GoodputAt2xRPS float64 `json:"goodputAt2xRps"`
-	// GoodputRatio is GoodputAt2xRPS / PeakGoodputRPS — the collapse
-	// indicator the gate reads.
+	Name           string       `json:"name"` // "admission" or "baseline"
+	Admission      bool         `json:"admission"`
+	Steps          []StepRecord `json:"steps"`
+	PeakGoodputRPS float64      `json:"peakGoodputRps"`
+	GoodputAt2xRPS float64      `json:"goodputAt2xRps"`
+	// GoodputRatio is GoodputAt2xRPS / PeakGoodputRPS, what the gate reads.
 	GoodputRatio float64 `json:"goodputRatio"`
-	// Controller is the admission controller's final snapshot (admission
-	// arm only).
+	// Controller is the admission arm's final controller snapshot.
 	Controller *admission.Snapshot `json:"controller,omitempty"`
 }
 
 // Report is one recorded harness run.
 type Report struct {
-	// RecordedAt stamps the record (RFC 3339 UTC).
-	RecordedAt string `json:"recordedAt,omitempty"`
-	// Goos/Goarch/NumCPU identify the recording machine.
-	Goos   string `json:"goos"`
-	Goarch string `json:"goarch"`
-	NumCPU int    `json:"numCpu"`
-	// SaturationRPS is the closed-loop measured single-worker capacity
-	// the ramp multipliers scale.
-	SaturationRPS float64 `json:"saturationRps"`
-	// ServiceTimeMs / DegradedTimeMs / SLOMs echo the harness knobs.
-	ServiceTimeMs  float64 `json:"serviceTimeMs"`
-	DegradedTimeMs float64 `json:"degradedTimeMs"`
-	SLOMs          float64 `json:"sloMs"`
-	// Arms holds the admission and baseline runs.
-	Arms []ArmReport `json:"arms"`
+	RecordedAt    string      `json:"recordedAt,omitempty"` // RFC 3339 UTC
+	Goos          string      `json:"goos"`
+	Goarch        string      `json:"goarch"`
+	NumCPU        int         `json:"numCpu"`
+	GoMaxProcs    int         `json:"goMaxProcs"`
+	BatchSize     int         `json:"batchSize"`
+	SaturationRPS float64     `json:"saturationRps"` // closed-loop capacity
+	ServiceTimeMs float64     `json:"serviceTimeMs"` // 1/SaturationRPS
+	SLOMs         float64     `json:"sloMs"`         // sloFactor × ServiceTimeMs
+	Arms          []ArmReport `json:"arms"`
 }
-
-// Trajectory is the committed load document: the latest record plus the
-// records it replaced, newest first, bounded by -retain.
-type Trajectory struct {
-	// Schema identifies the document version ("crowdlearn-load/1").
-	Schema string `json:"schema"`
-	// Current is the most recent record.
-	Current *Report `json:"current"`
-	// History holds prior records, newest first.
-	History []*Report `json:"history,omitempty"`
-}
-
-// schemaV1 marks the load trajectory document format.
-const schemaV1 = "crowdlearn-load/1"
-
-// multipliers is the fixed open-loop ramp; the gate keys off the 2.0
-// step so it is always present.
-var multipliers = []float64{0.5, 1, 1.5, 2}
 
 func main() {
-	var (
-		out          = flag.String("o", "", "write the trajectory document to this path (append-with-history)")
-		gate         = flag.String("gate", "", "gate against this committed trajectory: exit non-zero when the property fails")
-		retain       = flag.Int("retain", 12, "history records to retain in the output document")
-		serviceTime  = flag.Duration("service-time", 4*time.Millisecond, "stub full-cycle service time")
-		degradedTime = flag.Duration("degraded-time", 200*time.Microsecond, "stub AI-only shed-tier service time")
-		slo          = flag.Duration("slo", 60*time.Millisecond, "end-to-end response deadline goodput is measured against")
-		step         = flag.Duration("step", 2*time.Second, "duration of each ramp step")
-		clientTO     = flag.Duration("client-timeout", 2*time.Second, "per-request client timeout")
-		target       = flag.Duration("target", 5*time.Millisecond, "admission queue-delay target (CoDel)")
-		minRatio     = flag.Float64("min-goodput-ratio", 0.8, "gate: minimum admission-arm goodput ratio at 2x saturation")
-		maxBaseline  = flag.Float64("max-baseline-ratio", 0.5, "gate: maximum baseline-arm goodput ratio at 2x (must collapse)")
-	)
+	out := flag.String("o", "", "write the trajectory document to this path (append-with-history)")
+	gate := flag.String("gate", "", "gate against this committed trajectory: exit non-zero when the property fails")
 	flag.Parse()
-
-	if err := run(*out, *gate, *retain, *serviceTime, *degradedTime, *slo, *step, *clientTO, *target, *minRatio, *maxBaseline); err != nil {
+	if err := run(*out, *gate); err != nil {
 		fmt.Fprintln(os.Stderr, "crowdload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, gate string, retain int, serviceTime, degradedTime, slo, step, clientTO, target time.Duration, minRatio, maxBaseline float64) error {
-	ds, err := imagery.Generate(imagery.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	images := ds.Test
-	if len(images) > 64 {
-		images = images[:64]
-	}
-
-	// In gate mode the committed document must itself exhibit the
-	// property: the trajectory is the proof, the fresh run the check
-	// that it still reproduces.
+func run(out, gate string) error {
+	// The committed document must itself show the property: the
+	// trajectory is the proof, the fresh run the check that it still
+	// reproduces.
 	if gate != "" {
-		if err := gateCommitted(gate, minRatio); err != nil {
+		if err := gateCommitted(gate); err != nil {
 			return err
 		}
 	}
-
 	client := &http.Client{
-		Timeout: clientTO,
-		Transport: &http.Transport{
-			MaxIdleConns:        4096,
-			MaxIdleConnsPerHost: 4096,
-		},
+		Timeout:   clientTimeout,
+		Transport: &http.Transport{MaxIdleConns: 4096, MaxIdleConnsPerHost: 4096},
 	}
-
-	scheme := &loadScheme{serviceTime: serviceTime, degradedTime: degradedTime}
-	saturation, err := measureSaturation(scheme, images, client)
+	saturation, err := measureSaturation(client)
 	if err != nil {
 		return fmt.Errorf("saturation probe: %w", err)
 	}
-	fmt.Printf("saturation: %.0f req/s (service time %v)\n", saturation, serviceTime)
+	serviceTime := time.Duration(float64(time.Second) / saturation)
+	slo := sloFactor * serviceTime
+	fmt.Printf("saturation: %.0f req/s (service time %v, SLO %v)\n", saturation, serviceTime, slo)
 
 	rep := &Report{
-		RecordedAt:     time.Now().UTC().Format(time.RFC3339),
-		Goos:           runtime.GOOS,
-		Goarch:         runtime.GOARCH,
-		NumCPU:         runtime.NumCPU(),
-		SaturationRPS:  saturation,
-		ServiceTimeMs:  float64(serviceTime) / float64(time.Millisecond),
-		DegradedTimeMs: float64(degradedTime) / float64(time.Millisecond),
-		SLOMs:          float64(slo) / float64(time.Millisecond),
+		RecordedAt:    time.Now().UTC().Format(time.RFC3339),
+		Goos:          runtime.GOOS,
+		Goarch:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		BatchSize:     batchSize,
+		SaturationRPS: saturation,
+		ServiceTimeMs: float64(serviceTime) / float64(time.Millisecond),
+		SLOMs:         float64(slo) / float64(time.Millisecond),
 	}
-
 	for _, name := range []string{"admission", "baseline"} {
-		ar, err := runArm(name, scheme, images, client, saturation, step, slo, target)
+		ar, err := runArm(name, client, saturation, slo)
 		if err != nil {
 			return fmt.Errorf("arm %s: %w", name, err)
 		}
@@ -266,47 +188,41 @@ func run(out, gate string, retain int, serviceTime, degradedTime, slo, step, cli
 	}
 
 	if out != "" {
-		if err := writeTrajectory(out, rep, retain); err != nil {
+		prev, err := trajectory.Read(out, schema)
+		if err != nil {
+			return err
+		}
+		doc, err := trajectory.Append(prev, schema, rep, retain)
+		if err != nil {
+			return err
+		}
+		data, err := doc.Marshal()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(out, data, 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", out)
 	}
-
 	if gate != "" {
-		return gateFresh(rep, minRatio, maxBaseline)
+		return gateRecord("fresh", rep, true)
 	}
 	return nil
 }
 
-// runArm stands up one server configuration and drives the full ramp
-// against it.
-func runArm(name string, scheme *loadScheme, images []*imagery.Image, client *http.Client, saturation float64, step, slo, target time.Duration) (*ArmReport, error) {
-	var opts []service.Option
-	withAdmission := name == "admission"
-	if withAdmission {
-		opts = append(opts,
-			service.WithAdmission(admission.Config{
-				Target:        target,
-				MinLimit:      1,
-				MaxLimit:      32,
-				InitialLimit:  4,
-				LatencyTarget: slo / 2,
-			}),
-			service.WithMetrics(obs.NewRegistry()))
-	}
-	svc, url, shutdown, err := startServer(scheme, images, opts...)
+// runArm stands up one stack and drives the full ramp against it.
+func runArm(name string, client *http.Client, saturation float64, slo time.Duration) (_ *ArmReport, err error) {
+	ar := &ArmReport{Name: name, Admission: name == "admission"}
+	st, err := startStack(ar.Admission)
 	if err != nil {
 		return nil, err
 	}
-	defer shutdown()
-
-	ar := &ArmReport{Name: name, Admission: withAdmission}
+	defer func() { err = errors.Join(err, st.stop()) }()
 	for _, m := range multipliers {
-		rec := runStep(url, client, images, m, m*saturation, step, slo)
+		rec := runStep(st.url, client, st.bodies, m, m*saturation, step, slo)
 		ar.Steps = append(ar.Steps, rec)
-		if rec.GoodputRPS > ar.PeakGoodputRPS {
-			ar.PeakGoodputRPS = rec.GoodputRPS
-		}
+		ar.PeakGoodputRPS = max(ar.PeakGoodputRPS, rec.GoodputRPS)
 		if m == 2 {
 			ar.GoodputAt2xRPS = rec.GoodputRPS
 		}
@@ -314,74 +230,158 @@ func runArm(name string, scheme *loadScheme, images []*imagery.Image, client *ht
 	if ar.PeakGoodputRPS > 0 {
 		ar.GoodputRatio = ar.GoodputAt2xRPS / ar.PeakGoodputRPS
 	}
-	if withAdmission {
-		if snap := svc.Stats().Admission; snap != nil {
-			ar.Controller = snap
-		}
+	if ar.Admission {
+		ar.Controller = st.svc.Stats().Admission
 	}
 	return ar, nil
 }
 
-// startServer builds a service around the scheme and serves its HTTP
-// handler on a loopback listener.
-func startServer(scheme *loadScheme, images []*imagery.Image, opts ...service.Option) (*service.Service, string, func(), error) {
-	svc, err := service.New(scheme, opts...)
+// stack is one serving stack on a loopback listener, its durable state
+// in a temporary directory.
+type stack struct {
+	svc    *service.Service
+	url    string
+	bodies [][]byte // the POST /assess bodies the load draws from
+	stop   func() error
+}
+
+// startStack brings the stack up the way crowdlearnd -state-dir does:
+// build the lab, open the store and its journal, assemble the system,
+// recover the (empty) state directory — which trains the bootstrap
+// model — then start the service and serve its handler.
+func startStack(withAdmission bool) (_ *stack, err error) {
+	dir, err := os.MkdirTemp("", "crowdload-")
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
+	}
+	undo := []func() error{func() error { return os.RemoveAll(dir) }}
+	stop := func() error {
+		var errs []error
+		for i := len(undo) - 1; i >= 0; i-- {
+			errs = append(errs, undo[i]())
+		}
+		return errors.Join(errs...)
+	}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, stop())
+		}
+	}()
+
+	cfg := experiments.DefaultConfig()
+	cfg.Campaign.Cycles = budgetHorizon
+	cfg.BudgetDollars = budgetPerRound * budgetHorizon
+	lab, err := experiments.NewEnv(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st, err := store.Open(store.Options{Dir: dir, RetainCheckpoints: store.DefaultRetainCheckpoints})
+	if err != nil {
+		return nil, err
+	}
+	undo = append(undo, st.Close)
+	logger, registry := slog.New(slog.NewTextHandler(io.Discard, nil)), obs.NewRegistry()
+	var sys *core.CrowdLearn
+	journal := store.NewJournal(st, checkpointEvery,
+		func(w io.Writer) error { return sys.SaveState(w) }, logger, registry)
+	journal.SetSnapshot(func() (func(io.Writer) error, error) {
+		sn, err := sys.SnapshotState()
+		if err != nil {
+			return nil, err
+		}
+		return sn.Encode, nil
+	})
+	if sys, err = lab.NewSystemWith(func(c *core.Config) { c.Metrics, c.Journal = registry, journal }); err != nil {
+		return nil, err
+	}
+	report, err := st.Recover(sys, store.RecoverOptions{
+		TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
+		Registry:       lab.Dataset.Test,
+		ResyncPlatform: true,
+		Logger:         logger,
+		Metrics:        registry,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("state recovery: %w", err)
+	}
+	journal.NoteRecovered(report)
+
+	opts := []service.Option{service.WithMetrics(registry),
+		service.WithStartCycle(report.NextCycle), service.WithCheckpointAge(journal.CheckpointAge)}
+	if withAdmission {
+		opts = append(opts, service.WithAdmission(admission.Config{}))
+	}
+	svc, err := service.New(sys, opts...)
+	if err != nil {
+		return nil, err
 	}
 	svc.Start()
-	h, err := service.NewHandler(svc, images)
+	undo = append(undo, func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		return svc.Shutdown(ctx)
+	})
+	h, err := service.NewHandler(svc, lab.Dataset.Test)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	srv := &http.Server{Handler: h}
 	supervise.Go("crowdload.http", nil, func() { srv.Serve(ln) })
-	shutdown := func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
+	undo = append(undo, srv.Close)
+
+	// Consecutive 10-image batches of the test split, campaign tag and
+	// temporal context in rotation.
+	test := lab.Dataset.Test
+	bodies := make([][]byte, len(test)/batchSize)
+	for i := range bodies {
+		req := service.AssessRequest{
+			Context:  crowd.Contexts()[i%crowd.NumContexts].String(),
+			Campaign: fmt.Sprintf("c%02d", i%campaigns),
+		}
+		for _, im := range test[i*batchSize : (i+1)*batchSize] {
+			req.ImageIDs = append(req.ImageIDs, im.ID)
+		}
+		if bodies[i], err = json.Marshal(req); err != nil {
+			return nil, err
+		}
 	}
-	return svc, "http://" + ln.Addr().String(), shutdown, nil
+	return &stack{svc: svc, url: "http://" + ln.Addr().String(), bodies: bodies, stop: stop}, nil
 }
 
-// measureSaturation runs a short closed loop against a plain server to
-// find the single-worker drain rate the ramp multipliers scale.
-func measureSaturation(scheme *loadScheme, images []*imagery.Image, client *http.Client) (float64, error) {
-	_, url, shutdown, err := startServer(scheme, images)
+// measureSaturation runs a short closed loop against a stack without
+// admission control to find the single-worker drain rate the ramp
+// multipliers scale.
+func measureSaturation(client *http.Client) (_ float64, err error) {
+	st, err := startStack(false)
 	if err != nil {
 		return 0, err
 	}
-	defer shutdown()
+	defer func() { err = errors.Join(err, st.stop()) }()
 
-	const workers = 4
-	probe := 800 * time.Millisecond
-	var completed int64
+	var completed atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
-	deadline := start.Add(probe)
-	for w := 0; w < workers; w++ {
+	deadline := start.Add(probeWindow)
+	for w := 0; w < probeClients; w++ {
 		wg.Add(1)
 		supervise.Go(fmt.Sprintf("crowdload.probe.%d", w), nil, func() {
 			defer wg.Done()
-			for i := w; time.Now().Before(deadline); i++ {
-				o := fire(client, url, images[i%len(images)].ID, "")
-				if o.status == http.StatusOK {
-					atomic.AddInt64(&completed, 1)
+			for i := w; time.Now().Before(deadline); i += probeClients {
+				if o := fire(client, st.url, st.bodies[i%len(st.bodies)]); o.err == nil && o.status == http.StatusOK {
+					completed.Add(1)
 				}
 			}
 		})
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	if completed == 0 || elapsed <= 0 {
+	if completed.Load() == 0 {
 		return 0, errors.New("no completions in probe window")
 	}
-	return float64(completed) / elapsed, nil
+	return float64(completed.Load()) / time.Since(start).Seconds(), nil
 }
 
 // outcome is one request's client-side observation.
@@ -392,55 +392,51 @@ type outcome struct {
 	err     error
 }
 
-// fire posts one single-image /assess request.
-func fire(client *http.Client, url string, imageID int, campaign string) outcome {
-	body, _ := json.Marshal(map[string]any{
-		"context":  "morning",
-		"imageIds": []int{imageID},
-		"campaign": campaign,
-	})
+// fire posts one /assess batch. A 200 whose body does not decode into
+// one assessment per image is an error, not an answer.
+func fire(client *http.Client, url string, body []byte) outcome {
 	started := time.Now()
 	resp, err := client.Post(url+"/assess", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return outcome{err: err, latency: time.Since(started)}
 	}
 	defer resp.Body.Close()
-	var payload struct {
-		Shed bool `json:"shed"`
+	o := outcome{status: resp.StatusCode}
+	if resp.StatusCode == http.StatusOK {
+		var answer service.Response
+		if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+			o.err = fmt.Errorf("decode /assess answer: %w", err)
+		} else if len(answer.Assessments) != batchSize {
+			o.err = fmt.Errorf("%d assessments for a %d-image batch", len(answer.Assessments), batchSize)
+		}
+		o.shed = answer.Shed
 	}
-	dec := json.NewDecoder(resp.Body)
-	_ = dec.Decode(&payload)
 	_, _ = io.Copy(io.Discard, resp.Body)
-	return outcome{status: resp.StatusCode, shed: payload.Shed, latency: time.Since(started)}
+	o.latency = time.Since(started)
+	return o
 }
 
 // runStep drives one open-loop arrival step: rate req/s for dur,
 // arrivals scheduled on an absolute timeline (no coordinated omission —
 // a slow server does not slow the arrival process down).
-func runStep(url string, client *http.Client, images []*imagery.Image, multiplier, rate float64, dur, slo time.Duration) StepRecord {
-	n := int(rate * dur.Seconds())
-	if n < 1 {
-		n = 1
-	}
+func runStep(url string, client *http.Client, bodies [][]byte, multiplier, rate float64, dur, slo time.Duration) StepRecord {
+	n := max(int(rate*dur.Seconds()), 1)
 	interval := time.Duration(float64(dur) / float64(n))
-
 	var (
 		mu        sync.Mutex
+		wg        sync.WaitGroup
 		latencies []float64
 		rec       = StepRecord{Multiplier: multiplier, OfferedRPS: rate, Offered: n}
 	)
-	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
-			time.Sleep(d)
+			<-time.After(d)
 		}
 		wg.Add(1)
 		supervise.Go(fmt.Sprintf("crowdload.client.%d", i), nil, func() {
 			defer wg.Done()
-			// Four campaigns share the ramp so the fair-share tier has
-			// distinct buckets to arbitrate.
-			o := fire(client, url, images[i%len(images)].ID, fmt.Sprintf("c%02d", i%4))
+			o := fire(client, url, bodies[i%len(bodies)])
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -467,126 +463,63 @@ func runStep(url string, client *http.Client, images []*imagery.Image, multiplie
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	sort.Float64s(latencies)
-	rec.P50Ms = percentile(latencies, 0.50)
-	rec.P99Ms = percentile(latencies, 0.99)
+	if len(latencies) > 0 {
+		sort.Float64s(latencies)
+		rec.P50Ms = stats.Quantile(latencies, 0.50)
+		rec.P99Ms = stats.Quantile(latencies, 0.99)
+	}
 	served := rec.Completed + rec.Degraded
 	rec.ThroughputRPS = float64(served) / elapsed
 	rec.GoodputRPS = float64(served-rec.Late) / elapsed
 	return rec
 }
 
-// percentile reads p (0..1) from sorted ms latencies.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// gateCommitted holds the committed document's current record to the
+// admission half of the property.
+func gateCommitted(path string) error {
+	doc, err := trajectory.Read(path, schema)
+	if err == nil && doc == nil {
+		err = fmt.Errorf("%s does not exist", path)
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// gateCommitted asserts the committed trajectory document itself shows
-// the property: its current admission arm holds goodput at 2×.
-func gateCommitted(path string, minRatio float64) error {
-	doc, err := loadTrajectory(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if doc == nil || doc.Current == nil {
-		return fmt.Errorf("baseline %s: no current record", path)
-	}
-	arm := findArm(doc.Current, "admission")
-	if arm == nil {
-		return fmt.Errorf("baseline %s: no admission arm in current record", path)
-	}
-	if arm.GoodputRatio < minRatio {
-		return fmt.Errorf("baseline %s: committed admission goodput ratio %.2f < %.2f — the committed trajectory no longer shows the property; regenerate with make load-json on a quiet machine",
-			path, arm.GoodputRatio, minRatio)
-	}
-	fmt.Printf("committed %s: admission goodput ratio %.2f >= %.2f\n", path, arm.GoodputRatio, minRatio)
-	return nil
-}
-
-// gateFresh asserts the fresh run reproduces the property: admission
-// holds goodput at 2× saturation, the unprotected baseline collapses.
-func gateFresh(rep *Report, minRatio, maxBaseline float64) error {
-	adm := findArm(rep, "admission")
-	base := findArm(rep, "baseline")
-	if adm == nil || base == nil {
-		return errors.New("fresh run missing an arm")
-	}
-	var failures []string
-	if adm.GoodputRatio < minRatio {
-		failures = append(failures, fmt.Sprintf(
-			"admission arm goodput ratio %.2f < %.2f (goodput at 2x %.0f req/s, peak %.0f req/s)",
-			adm.GoodputRatio, minRatio, adm.GoodputAt2xRPS, adm.PeakGoodputRPS))
-	}
-	if base.GoodputRatio > maxBaseline {
-		failures = append(failures, fmt.Sprintf(
-			"baseline arm goodput ratio %.2f > %.2f — the unprotected service did not collapse, so the comparison proves nothing",
-			base.GoodputRatio, maxBaseline))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "GATE FAIL:", f)
-		}
-		return fmt.Errorf("%d gate failure(s)", len(failures))
-	}
-	fmt.Printf("GATE OK: admission ratio %.2f >= %.2f, baseline ratio %.2f <= %.2f\n",
-		adm.GoodputRatio, minRatio, base.GoodputRatio, maxBaseline)
-	return nil
-}
-
-// findArm returns the named arm of a report (nil if absent).
-func findArm(rep *Report, name string) *ArmReport {
-	for i := range rep.Arms {
-		if rep.Arms[i].Name == name {
-			return &rep.Arms[i]
-		}
-	}
-	return nil
-}
-
-// loadTrajectory reads a trajectory document; a missing file returns
-// (nil, nil).
-func loadTrajectory(path string) (*Trajectory, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var doc Trajectory
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	if doc.Schema != schemaV1 {
-		return nil, fmt.Errorf("unknown schema %q (want %s)", doc.Schema, schemaV1)
-	}
-	return &doc, nil
-}
-
-// writeTrajectory appends rep to the document at path: the previous
-// current record moves into the bounded history.
-func writeTrajectory(path string, rep *Report, retain int) error {
-	doc, err := loadTrajectory(path)
 	if err != nil {
 		return err
 	}
-	if doc == nil {
-		doc = &Trajectory{Schema: schemaV1}
+	var rep Report
+	if err := json.Unmarshal(doc.Current, &rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	if doc.Current != nil {
-		doc.History = append([]*Report{doc.Current}, doc.History...)
+	if err := gateRecord("committed", &rep, false); err != nil {
+		return fmt.Errorf("%w\n%s no longer shows the property; regenerate it with make load-json on a quiet machine", err, path)
 	}
-	if retain >= 0 && len(doc.History) > retain {
-		doc.History = doc.History[:retain]
+	return nil
+}
+
+// gateRecord checks one record: the admission arm's goodput ratio at
+// least minGoodputRatio and, withBaseline, the baseline arm's at most
+// maxBaselineRatio.
+func gateRecord(label string, rep *Report, withBaseline bool) error {
+	names := []string{"admission"}
+	if withBaseline {
+		names = append(names, "baseline")
 	}
-	doc.Current = rep
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	var checks []trajectory.Check
+	for _, name := range names {
+		i := slices.IndexFunc(rep.Arms, func(a ArmReport) bool { return a.Name == name })
+		if i < 0 {
+			return fmt.Errorf("%s record has no %s arm", label, name)
+		}
+		c := trajectory.Check{Name: fmt.Sprintf("%s %s goodput ratio at 2x", label, name),
+			Value: rep.Arms[i].GoodputRatio, Limit: minGoodputRatio, Better: trajectory.Higher}
+		if name == "baseline" {
+			c.Limit, c.Better = maxBaselineRatio, trajectory.Lower
+		}
+		checks = append(checks, c)
+	}
+	if err := trajectory.Gate(checks); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	for _, c := range checks {
+		fmt.Println("GATE OK:", c)
+	}
+	return nil
 }
