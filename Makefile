@@ -26,7 +26,7 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crowdlint -baseline lint-baseline.json ./...
-	$(GO) run ./cmd/crowdlint -tests -rules no-copied-locks-by-value,goroutine-ownership ./...
+	$(GO) run ./cmd/crowdlint -tests -rules goroutine-ownership ./...
 
 # -shuffle=on randomises test execution order to flush out inter-test
 # state dependence.

@@ -330,30 +330,22 @@ func BenchmarkRunCyclePipelined(b *testing.B) {
 	for _, mode := range []string{"sequential", "pipelined"} {
 		b.Run("mode="+mode, func(b *testing.B) {
 			env := lab(b)
-			st, err := OpenStateStore(StateStoreOptions{Dir: b.TempDir()})
+			// Recovering the empty directory trains the bootstrap model
+			// before the timer starts.
+			d, err := OpenDurableSystem(StateStoreOptions{Dir: b.TempDir()}, 4,
+				func(j CycleJournal) (*System, error) {
+					return env.NewSystemWith(func(cfg *SystemConfig) { cfg.Journal = j })
+				},
+				RecoverOptions{
+					TrainSamples: SamplesFromImages(env.Dataset.Train),
+					Registry:     env.Dataset.Test,
+					Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+				})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer st.Close()
-			quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-			var sys *System
-			journal := NewStateJournal(st, 4, func(w io.Writer) error { return sys.SaveState(w) }, quiet, nil)
-			sys, err = env.NewSystemWith(func(cfg *SystemConfig) {
-				cfg.Journal = journal
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			journal.SetSnapshot(func() (func(w io.Writer) error, error) {
-				sn, serr := sys.SnapshotState()
-				if serr != nil {
-					return nil, serr
-				}
-				return sn.Encode, nil
-			})
-			if err := sys.EnsureBootstrapped(); err != nil {
-				b.Fatal(err)
-			}
+			defer d.Store.Close()
+			sys := d.Sys
 			contexts := []TemporalContext{Morning, Afternoon, Evening, Midnight}
 			test := env.Dataset.Test
 			perCycle := 10

@@ -246,55 +246,6 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 
-	// With -state-dir the system journals every committed cycle and
-	// recovers its predecessor's state before serving. The journal's
-	// checkpoint payload closes over sys, which is assembled just after.
-	var (
-		st      *store.Store
-		journal *store.Journal
-		sys     *core.CrowdLearn
-	)
-	if *stateDir != "" {
-		st, err = store.Open(store.Options{Dir: *stateDir, RetainCheckpoints: *checkpointRetain})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		journal = store.NewJournal(st, *checkpointEvery,
-			func(w io.Writer) error { return sys.SaveState(w) }, logger, registry)
-		// Snapshot-then-encode seam for detached commits: capture
-		// checkpoint state synchronously, encode off the hot path.
-		journal.SetSnapshot(func() (func(io.Writer) error, error) {
-			sn, err := sys.SnapshotState()
-			if err != nil {
-				return nil, err
-			}
-			return sn.Encode, nil
-		})
-	}
-	sys, err = lab.NewSystemWith(func(cfg *core.Config) {
-		cfg.Metrics = registry
-		cfg.Tracer = tracer
-		cfg.Profiler = profiler
-		if journal != nil {
-			cfg.Journal = journal
-		}
-	})
-	if err != nil {
-		return err
-	}
-	logger.Info("system built", slog.Duration("elapsed", time.Since(started)))
-	if st == nil {
-		// Without a state directory nothing can restore the model, so
-		// train it now rather than on the first request. With one,
-		// Recover trains only when no checkpoint restores.
-		began := time.Now()
-		if err := sys.EnsureBootstrapped(); err != nil {
-			return err
-		}
-		logger.Info("bootstrap training complete", slog.Duration("elapsed", time.Since(began)))
-	}
-
 	svcOpts := []service.Option{
 		service.WithMetrics(registry),
 		service.WithTracer(tracer),
@@ -305,29 +256,54 @@ func run(args []string, stdout io.Writer) error {
 	if *admissionTarget > 0 {
 		svcOpts = append(svcOpts, service.WithAdmission(admission.Config{Target: *admissionTarget}))
 	}
-	if st != nil {
-		report, rerr := st.Recover(sys, store.RecoverOptions{
-			TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
-			Registry:       lab.Dataset.Test,
-			ResyncPlatform: true,
-			Logger:         logger,
-			Metrics:        registry,
+	build := func(journal core.CycleJournal) (*core.CrowdLearn, error) {
+		sys, err := lab.NewSystemWith(func(cfg *core.Config) {
+			cfg.Metrics = registry
+			cfg.Tracer = tracer
+			cfg.Profiler = profiler
+			cfg.Journal = journal
 		})
-		if rerr != nil {
-			return fmt.Errorf("state recovery: %w", rerr)
+		if err == nil {
+			logger.Info("system built", slog.Duration("elapsed", time.Since(started)))
 		}
-		journal.NoteRecovered(report)
+		return sys, err
+	}
+	// With -state-dir the system journals every committed cycle and
+	// recovers its predecessor's state before serving; recovery trains
+	// the bootstrap model only when no checkpoint restores. Without one
+	// nothing can restore the model, so train it now rather than on the
+	// first request.
+	var (
+		sys        *core.CrowdLearn
+		checkpoint func() error
+	)
+	if *stateDir != "" {
+		d, err := store.OpenSystem(store.Options{Dir: *stateDir, RetainCheckpoints: *checkpointRetain}, *checkpointEvery, build,
+			store.RecoverOptions{
+				TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
+				Registry:       lab.Dataset.Test,
+				ResyncPlatform: true,
+				Logger:         logger,
+				Metrics:        registry,
+			})
+		if err != nil {
+			return err
+		}
+		defer d.Store.Close()
+		sys, checkpoint = d.Sys, d.Journal.Checkpoint
 		svcOpts = append(svcOpts,
-			service.WithStartCycle(report.NextCycle),
-			service.WithCheckpointAge(journal.CheckpointAge),
-			service.WithRecovery(&service.RecoveryStatus{
-				Outcome:            report.Outcome,
-				CheckpointCycles:   report.CheckpointCycles,
-				CheckpointsSkipped: report.CheckpointsSkipped,
-				CyclesReplayed:     report.CyclesReplayed,
-				WALTruncatedBytes:  report.WALTruncatedBytes,
-				Bootstrapped:       report.Bootstrapped,
-			}))
+			service.WithStartCycle(d.Report.NextCycle),
+			service.WithCheckpointAge(d.Journal.CheckpointAge),
+			service.WithRecovery(d.Report))
+	} else {
+		if sys, err = build(nil); err != nil {
+			return err
+		}
+		began := time.Now()
+		if err := sys.EnsureBootstrapped(); err != nil {
+			return err
+		}
+		logger.Info("bootstrap training complete", slog.Duration("elapsed", time.Since(began)))
 	}
 	svc, err := service.New(sys, svcOpts...)
 	if err != nil {
@@ -342,10 +318,6 @@ func run(args []string, stdout io.Writer) error {
 	server := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
-	}
-	var checkpoint func() error
-	if journal != nil {
-		checkpoint = journal.Checkpoint
 	}
 	if err := serveUntilSignal(server, ln, logger, svc.Shutdown, checkpoint); err != nil {
 		return err

@@ -242,7 +242,7 @@ func TestListRules(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"no-wall-clock", "no-global-rand", "ordered-map-range",
-		"no-copied-locks-by-value", "checked-errors-in-store",
+		"checked-errors-in-store",
 		"determinism-taint", "ticket-lifecycle",
 		"no-lock-across-commit", "goroutine-ownership",
 	} {

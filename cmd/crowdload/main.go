@@ -1,8 +1,9 @@
 // Command crowdload is the overload harness for the assessment service,
 // run on the real pipeline. It brings up the stack crowdlearnd runs with
 // -state-dir (lab, core.CrowdLearn, a WAL journal fsynced every cycle,
-// the service worker and its HTTP handler) on a loopback listener and
-// measures its closed-loop saturation. Two fresh stacks — one behind the
+// the service worker and its HTTP handler) on a loopback listener, warms
+// it with 40 crowd-answered cycles and measures its closed-loop
+// saturation. Two fresh stacks, warmed the same way — one behind the
 // production admission ladder, one with the plain unbounded queue — then
 // take the same open-loop arrival ramp (0.5×, 1×, 1.5×, 2× of
 // saturation) of 10-image /assess batches rotating through four campaign
@@ -72,6 +73,11 @@ const (
 	sloFactor     = 15 // SLO = sloFactor × measured service time
 	probeClients  = 4
 	probeWindow   = 800 * time.Millisecond
+	// warmCycles crowd-answered closed-loop cycles run on every stack
+	// before it is measured, as the benchmark harness's warm-up does: a
+	// freshly recovered stack's MIC replay pool is nearly empty, so its
+	// first cycles retrain on less data and outrun steady state.
+	warmCycles = 40
 
 	// The gate: admission keeps >= minGoodputRatio of its peak goodput
 	// at 2× saturation, the baseline <= maxBaselineRatio.
@@ -214,7 +220,7 @@ func run(out, gate string) error {
 // runArm stands up one stack and drives the full ramp against it.
 func runArm(name string, client *http.Client, saturation float64, slo time.Duration) (_ *ArmReport, err error) {
 	ar := &ArmReport{Name: name, Admission: name == "admission"}
-	st, err := startStack(ar.Admission)
+	st, err := startStack(client, ar.Admission)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +252,10 @@ type stack struct {
 }
 
 // startStack brings the stack up the way crowdlearnd -state-dir does:
-// build the lab, open the store and its journal, assemble the system,
-// recover the (empty) state directory — which trains the bootstrap
-// model — then start the service and serve its handler.
-func startStack(withAdmission bool) (_ *stack, err error) {
+// build the lab, open the (empty) state directory and recover a system
+// on it — which trains the bootstrap model — then start the service,
+// serve its handler and warm it up through client.
+func startStack(client *http.Client, withAdmission bool) (_ *stack, err error) {
 	dir, err := os.MkdirTemp("", "crowdload-")
 	if err != nil {
 		return nil, err
@@ -275,43 +281,29 @@ func startStack(withAdmission bool) (_ *stack, err error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Open(store.Options{Dir: dir, RetainCheckpoints: store.DefaultRetainCheckpoints})
-	if err != nil {
-		return nil, err
-	}
-	undo = append(undo, st.Close)
 	logger, registry := slog.New(slog.NewTextHandler(io.Discard, nil)), obs.NewRegistry()
-	var sys *core.CrowdLearn
-	journal := store.NewJournal(st, checkpointEvery,
-		func(w io.Writer) error { return sys.SaveState(w) }, logger, registry)
-	journal.SetSnapshot(func() (func(io.Writer) error, error) {
-		sn, err := sys.SnapshotState()
-		if err != nil {
-			return nil, err
-		}
-		return sn.Encode, nil
-	})
-	if sys, err = lab.NewSystemWith(func(c *core.Config) { c.Metrics, c.Journal = registry, journal }); err != nil {
+	d, err := store.OpenSystem(store.Options{Dir: dir, RetainCheckpoints: store.DefaultRetainCheckpoints}, checkpointEvery,
+		func(j core.CycleJournal) (*core.CrowdLearn, error) {
+			return lab.NewSystemWith(func(c *core.Config) { c.Metrics, c.Journal = registry, j })
+		},
+		store.RecoverOptions{
+			TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
+			Registry:       lab.Dataset.Test,
+			ResyncPlatform: true,
+			Logger:         logger,
+			Metrics:        registry,
+		})
+	if err != nil {
 		return nil, err
 	}
-	report, err := st.Recover(sys, store.RecoverOptions{
-		TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
-		Registry:       lab.Dataset.Test,
-		ResyncPlatform: true,
-		Logger:         logger,
-		Metrics:        registry,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("state recovery: %w", err)
-	}
-	journal.NoteRecovered(report)
+	undo = append(undo, d.Store.Close)
 
 	opts := []service.Option{service.WithMetrics(registry),
-		service.WithStartCycle(report.NextCycle), service.WithCheckpointAge(journal.CheckpointAge)}
+		service.WithStartCycle(d.Report.NextCycle), service.WithCheckpointAge(d.Journal.CheckpointAge)}
 	if withAdmission {
 		opts = append(opts, service.WithAdmission(admission.Config{}))
 	}
-	svc, err := service.New(sys, opts...)
+	svc, err := service.New(d.Sys, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -349,14 +341,37 @@ func startStack(withAdmission bool) (_ *stack, err error) {
 			return nil, err
 		}
 	}
-	return &stack{svc: svc, url: "http://" + ln.Addr().String(), bodies: bodies, stop: stop}, nil
+	st := &stack{svc: svc, url: "http://" + ln.Addr().String(), bodies: bodies, stop: stop}
+	if err := st.warm(client); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// warm serves closed-loop requests, one at a time, until warmCycles of
+// them came back as full cycles with crowd labels.
+func (st *stack) warm(client *http.Client) error {
+	answered := 0
+	for i := 0; answered < warmCycles; i++ {
+		if i == 2*warmCycles {
+			return fmt.Errorf("warm-up: %d of %d requests crowd-answered, want %d", answered, i, warmCycles)
+		}
+		o := fire(client, st.url, st.bodies[i%len(st.bodies)])
+		if o.err != nil {
+			return fmt.Errorf("warm-up: %w", o.err)
+		}
+		if o.crowd {
+			answered++
+		}
+	}
+	return nil
 }
 
 // measureSaturation runs a short closed loop against a stack without
 // admission control to find the single-worker drain rate the ramp
 // multipliers scale.
 func measureSaturation(client *http.Client) (_ float64, err error) {
-	st, err := startStack(false)
+	st, err := startStack(client, false)
 	if err != nil {
 		return 0, err
 	}
@@ -388,6 +403,7 @@ func measureSaturation(client *http.Client) (_ float64, err error) {
 type outcome struct {
 	status  int
 	shed    bool
+	crowd   bool // a full cycle that queried the crowd
 	latency time.Duration
 	err     error
 }
@@ -410,6 +426,7 @@ func fire(client *http.Client, url string, body []byte) outcome {
 			o.err = fmt.Errorf("%d assessments for a %d-image batch", len(answer.Assessments), batchSize)
 		}
 		o.shed = answer.Shed
+		o.crowd = o.err == nil && !answer.Shed && len(answer.QueriedImageIDs) > 0
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	o.latency = time.Since(started)

@@ -24,9 +24,6 @@
 package crowdlearn
 
 import (
-	"io"
-	"log/slog"
-
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/core"
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
@@ -266,6 +263,10 @@ type (
 	// appends every committed cycle to the log and checkpoints on a
 	// cycle cadence.
 	StateJournal = store.Journal
+	// DurableSystem is a System recovered from its state directory,
+	// with the StateStore, StateJournal and RecoveryReport behind it
+	// (OpenDurableSystem).
+	DurableSystem = store.Durable
 	// CycleJournal is the hook a System calls after each committed
 	// cycle (SystemConfig.Journal).
 	CycleJournal = core.CycleJournal
@@ -283,10 +284,12 @@ type (
 // truncating any torn write-ahead-log tail left by a crash.
 func OpenStateStore(opts StateStoreOptions) (*StateStore, error) { return store.Open(opts) }
 
-// NewStateJournal wires a StateStore behind SystemConfig.Journal:
-// every committed cycle is appended durably, and every `every` cycles
-// (0 = never) a checkpoint is written via save — normally the system's
-// SaveState. logger and metrics may be nil.
-func NewStateJournal(st *StateStore, every int, save func(w io.Writer) error, logger *slog.Logger, metrics *MetricsRegistry) *StateJournal {
-	return store.NewJournal(st, every, save, logger, metrics)
+// OpenDurableSystem brings a System up on a durable state directory:
+// it opens the directory, builds the StateJournal (a checkpoint every
+// `every` cycles, 0 = never), hands it to build to wire into
+// SystemConfig.Journal, recovers the newly built system from whatever
+// the directory holds and returns it with the store, journal and
+// recovery report. The caller closes the returned Store.
+func OpenDurableSystem(opts StateStoreOptions, every int, build func(CycleJournal) (*System, error), rec RecoverOptions) (*DurableSystem, error) {
+	return store.OpenSystem(opts, every, build, rec)
 }

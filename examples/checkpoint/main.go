@@ -12,7 +12,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"os"
 
@@ -37,75 +36,74 @@ func run() error {
 		return err
 	}
 
-	// ---- process 1: run with persistence, then crash mid-campaign ----
-	st, err := crowdlearn.OpenStateStore(crowdlearn.StateStoreOptions{Dir: dir})
-	if err != nil {
-		return err
-	}
-	var sys *crowdlearn.System
-	journal := crowdlearn.NewStateJournal(st, 8,
-		func(w io.Writer) error { return sys.SaveState(w) }, nil, nil)
-	sys, err = lab.NewSystemWith(func(cfg *crowdlearn.SystemConfig) { cfg.Journal = journal })
-	if err != nil {
-		return err
+	// Each "process" brings its system up the same way: open the state
+	// directory, build a fresh system behind its journal (a checkpoint
+	// every 8 cycles) and recover whatever the directory holds. The
+	// replacement process rebuilds the same lab (same seeds), so it
+	// recovers the crashed process's learned state exactly.
+	open := func() (*crowdlearn.DurableSystem, error) {
+		return crowdlearn.OpenDurableSystem(crowdlearn.StateStoreOptions{Dir: dir}, 8,
+			func(j crowdlearn.CycleJournal) (*crowdlearn.System, error) {
+				return lab.NewSystemWith(func(cfg *crowdlearn.SystemConfig) { cfg.Journal = j })
+			},
+			crowdlearn.RecoverOptions{
+				TrainSamples:   crowdlearn.SamplesFromImages(lab.Dataset.Train),
+				Registry:       lab.Dataset.Test,
+				ResyncPlatform: true,
+			})
 	}
 
-	phase1 := crowdlearn.CampaignConfig{Cycles: 20, ImagesPerCycle: 10}
-	first, err := crowdlearn.RunCampaign(sys, lab.Dataset.Test[:200], phase1)
+	// ---- process 1: run with persistence, then crash mid-campaign ----
+	// The directory is empty, so recovery trains the bootstrap model.
+	first, err := open()
 	if err != nil {
 		return err
 	}
-	m1, err := crowdlearn.ComputeMetrics(first.TrueLabels(), first.PredictedLabels())
+	sys := first.Sys
+
+	phase1 := crowdlearn.CampaignConfig{Cycles: 20, ImagesPerCycle: 10}
+	res1, err := crowdlearn.RunCampaign(sys, lab.Dataset.Test[:200], phase1)
+	if err != nil {
+		return err
+	}
+	m1, err := crowdlearn.ComputeMetrics(res1.TrueLabels(), res1.PredictedLabels())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("phase 1: 20 cycles, accuracy %.3f, spent $%.2f, budget left $%.2f\n",
-		m1.Accuracy, first.TotalSpend(), sys.Policy().RemainingBudget())
+		m1.Accuracy, res1.TotalSpend(), sys.Policy().RemainingBudget())
 
 	// Crash. The last checkpoint covers 16 cycles; cycles 16..19 exist
 	// only as write-ahead-log records. Nothing in memory survives.
-	if err := st.Close(); err != nil {
+	if err := first.Store.Close(); err != nil {
 		return err
 	}
-	sys = nil
+	first, sys = nil, nil
 	fmt.Println("-- simulated crash: process state dropped; only the state directory survives --")
 
 	// ---- process 2: open the directory, recover, continue ----
-	st2, err := crowdlearn.OpenStateStore(crowdlearn.StateStoreOptions{Dir: dir})
-	if err != nil {
-		return err
-	}
-	defer st2.Close()
-	// The replacement process rebuilds the same lab (same seeds) and a
-	// fresh system, then recovers the crashed process's learned state.
 	// The checkpoint restores, so the system never retrains
 	// (bootstrapped=false).
-	restored, err := lab.NewSystem()
+	second, err := open()
 	if err != nil {
 		return err
 	}
-	report, err := st2.Recover(restored, crowdlearn.RecoverOptions{
-		TrainSamples:   crowdlearn.SamplesFromImages(lab.Dataset.Train),
-		Registry:       lab.Dataset.Test,
-		ResyncPlatform: true,
-	})
-	if err != nil {
-		return err
-	}
+	defer second.Store.Close()
+	restored, report := second.Sys, second.Report
 	fmt.Printf("recovered: outcome=%s checkpointCycles=%d walReplayed=%d nextCycle=%d bootstrapped=%v\n",
 		report.Outcome, report.CheckpointCycles, report.CyclesReplayed, report.NextCycle, report.Bootstrapped)
 	fmt.Printf("restored: budget left $%.2f (carried over)\n", restored.Policy().RemainingBudget())
 
 	phase2 := crowdlearn.CampaignConfig{Cycles: 20, ImagesPerCycle: 10, StartCycle: report.NextCycle}
-	second, err := crowdlearn.RunCampaign(restored, lab.Dataset.Test[200:400], phase2)
+	res2, err := crowdlearn.RunCampaign(restored, lab.Dataset.Test[200:400], phase2)
 	if err != nil {
 		return err
 	}
-	m2, err := crowdlearn.ComputeMetrics(second.TrueLabels(), second.PredictedLabels())
+	m2, err := crowdlearn.ComputeMetrics(res2.TrueLabels(), res2.PredictedLabels())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("phase 2 (after crash recovery): 20 cycles, accuracy %.3f, total spend $%.2f\n",
-		m2.Accuracy, first.TotalSpend()+second.TotalSpend())
+		m2.Accuracy, res1.TotalSpend()+res2.TotalSpend())
 	return nil
 }

@@ -800,38 +800,25 @@ func (r *Runner) drivePipelined(sc Scenario, i int, dir string, logger *slog.Log
 		return cres
 	}
 
-	// build assembles a fresh epoch: store, journal with the snapshot
-	// seam, and a system on the same platform chain the supervised path
-	// uses (breaker → script → fault injector), all re-seeded
-	// identically so recovery replay resyncs the chain byte-exactly.
-	build := func() (*core.CrowdLearn, *store.Store, *store.Journal, error) {
-		st, err := store.Open(store.Options{Dir: fmt.Sprintf("%s/%s", dir, id)})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var sys *core.CrowdLearn
-		journal := store.NewJournal(st, 2, func(w io.Writer) error { return sys.SaveState(w) }, logger, nil)
-		inj, err := faults.New(r.Env.NewPlatform(), faultCfg)
-		if err != nil {
-			st.Close()
-			return nil, nil, nil, err
-		}
-		breaker := supervise.NewBreaker(brk, id, nil)
-		sys, err = r.Env.NewSystemOn(breaker.Wrap(script.Wrap(inj)), func(cfg *core.Config) {
-			cfg.Journal = journal
-		})
-		if err != nil {
-			st.Close()
-			return nil, nil, nil, err
-		}
-		journal.SetSnapshot(func() (func(w io.Writer) error, error) {
-			sn, serr := sys.SnapshotState()
-			if serr != nil {
-				return nil, serr
+	// open assembles a fresh epoch on the campaign's state directory:
+	// a system on the same platform chain the supervised path uses
+	// (breaker → script → fault injector), all re-seeded identically so
+	// recovery replay resyncs the chain byte-exactly, recovered from
+	// whatever the directory holds.
+	open := func() (*store.Durable, error) {
+		return store.OpenSystem(store.Options{Dir: fmt.Sprintf("%s/%s", dir, id)}, 2, func(j core.CycleJournal) (*core.CrowdLearn, error) {
+			inj, err := faults.New(r.Env.NewPlatform(), faultCfg)
+			if err != nil {
+				return nil, err
 			}
-			return sn.Encode, nil
+			breaker := supervise.NewBreaker(brk, id, nil)
+			return r.Env.NewSystemOn(breaker.Wrap(script.Wrap(inj)), func(cfg *core.Config) { cfg.Journal = j })
+		}, store.RecoverOptions{
+			TrainSamples:   train,
+			Registry:       r.Env.Dataset.Test,
+			ResyncPlatform: true,
+			Logger:         logger,
 		})
-		return sys, st, journal, nil
 	}
 
 	// runFrom resumes the pipelined campaign at cycle start; a scripted
@@ -848,15 +835,15 @@ func (r *Runner) drivePipelined(sc Scenario, i int, dir string, logger *slog.Log
 		return err
 	}
 
-	sys, st, _, err := build()
+	d, err := open()
 	if err != nil {
 		return fail("open: %v", err)
 	}
-	defer func() { st.Close() }()
+	defer func() { d.Store.Close() }()
 	next, attempts := 0, 0
 	for next < sc.Cycles {
 		script.Arm()
-		rerr := runFrom(sys, next)
+		rerr := runFrom(d.Sys, next)
 		if rerr == nil {
 			next = sc.Cycles
 			break
@@ -868,30 +855,19 @@ func (r *Runner) drivePipelined(sc Scenario, i int, dir string, logger *slog.Log
 		}
 		// Crash: everything in memory dies with the panic; the store's
 		// directory is all that survives.
-		if cerr := st.Close(); cerr != nil {
+		if cerr := d.Store.Close(); cerr != nil {
 			return fail("close after crash: %v", cerr)
 		}
-		var journal *store.Journal
-		sys, st, journal, err = build()
+		reopened, err := open()
 		if err != nil {
 			return fail("reopen: %v", err)
 		}
-		report, rerr := st.Recover(sys, store.RecoverOptions{
-			TrainSamples:   train,
-			Registry:       r.Env.Dataset.Test,
-			ResyncPlatform: true,
-			Logger:         logger,
-		})
-		if rerr != nil {
-			return fail("recover: %v", rerr)
-		}
-		journal.NoteRecovered(report)
-		next = report.NextCycle
+		d, next = reopened, reopened.Report.NextCycle
 	}
 	cres.PanicsFired, cres.StallsFired = script.Fired()
 	cres.Committed = next
 	var buf bytes.Buffer
-	if serr := sys.SaveState(&buf); serr != nil {
+	if serr := d.Sys.SaveState(&buf); serr != nil {
 		return fail("state snapshot: %v", serr)
 	}
 	cres.FinalState = buf.Bytes()

@@ -55,7 +55,6 @@ func DefaultRules() []Rule {
 		NewWallClock(nil),
 		NewGlobalRand(),
 		NewMapRange(),
-		NewCopyLocks(),
 		NewCheckedErrors(nil),
 		NewDeterminismTaint(),
 		NewTicketLifecycle(),

@@ -78,16 +78,6 @@ func TestRuleFixtures(t *testing.T) {
 			},
 		},
 		{
-			fixture: "copylocks",
-			rules:   func(*Package) []Rule { return []Rule{NewCopyLocks()} },
-			want: []string{
-				"copylocks.go 20:9 no-copied-locks-by-value",
-				"copylocks.go 30:17 no-copied-locks-by-value",
-				"copylocks.go 34:18 no-copied-locks-by-value",
-				"copylocks.go 38:22 no-copied-locks-by-value",
-			},
-		},
-		{
 			fixture: "checkederr",
 			rules: func(pkg *Package) []Rule {
 				return []Rule{NewCheckedErrors([]string{pkg.RelPath})}
@@ -296,7 +286,6 @@ func TestRuleMetadata(t *testing.T) {
 		"no-wall-clock",
 		"no-global-rand",
 		"ordered-map-range",
-		"no-copied-locks-by-value",
 		"checked-errors-in-store",
 		"determinism-taint",
 		"ticket-lifecycle",

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
+	"github.com/crowdlearn/crowdlearn/internal/store"
 )
 
 // TestStartCycleOffsetsIndices: a service resumed after recovery
@@ -84,7 +85,7 @@ func TestHealthzReportsCheckpointAge(t *testing.T) {
 // /stats so a resumed deployment is distinguishable from a fresh one.
 func TestStatsExposeRecovery(t *testing.T) {
 	scheme, ds := fixture(t)
-	rs := &RecoveryStatus{Outcome: "checkpoint+wal", CheckpointCycles: 16, CyclesReplayed: 4}
+	rs := &store.RecoveryReport{Outcome: "checkpoint+wal", CheckpointCycles: 16, CyclesReplayed: 4}
 	svc, err := New(scheme, WithRecovery(rs))
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 	"github.com/crowdlearn/crowdlearn/internal/obs"
 	"github.com/crowdlearn/crowdlearn/internal/prof"
+	"github.com/crowdlearn/crowdlearn/internal/store"
 	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
@@ -110,31 +111,10 @@ type Stats struct {
 	Admission *admission.Snapshot `json:"admission,omitempty"`
 	// Recovery describes the startup state recovery (WithRecovery);
 	// nil when the service runs without a durable store.
-	Recovery *RecoveryStatus `json:"recovery,omitempty"`
+	Recovery *store.RecoveryReport `json:"recovery,omitempty"`
 	// Build identifies the serving binary (WithBuildInfo); nil when the
 	// daemon did not attach build identity.
 	Build *prof.BuildInfo `json:"build,omitempty"`
-}
-
-// RecoveryStatus mirrors the persistence layer's recovery report for
-// the /stats surface: how the process's state was reconstructed at
-// startup.
-type RecoveryStatus struct {
-	// Outcome: "fresh", "checkpoint", "checkpoint+wal", "wal" or
-	// "bootstrap-fallback".
-	Outcome string `json:"outcome"`
-	// CheckpointCycles is the restored checkpoint's committed-cycle
-	// count (-1 if none was usable).
-	CheckpointCycles int `json:"checkpointCycles"`
-	// CheckpointsSkipped counts corrupt or torn checkpoints skipped.
-	CheckpointsSkipped int `json:"checkpointsSkipped"`
-	// CyclesReplayed counts write-ahead-log cycles re-applied.
-	CyclesReplayed int `json:"cyclesReplayed"`
-	// WALTruncatedBytes is the torn log tail dropped at startup.
-	WALTruncatedBytes int64 `json:"walTruncatedBytes"`
-	// Bootstrapped is true when no checkpoint restored and recovery ran
-	// the bootstrap training.
-	Bootstrapped bool `json:"bootstrapped"`
 }
 
 // Observable is the optional telemetry surface a scheme may implement
@@ -309,7 +289,7 @@ func WithStartCycle(n int) Option {
 }
 
 // WithRecovery publishes the startup recovery outcome in /stats.
-func WithRecovery(rs *RecoveryStatus) Option {
+func WithRecovery(rs *store.RecoveryReport) Option {
 	return func(s *Service) { s.stats.Recovery = rs }
 }
 

@@ -71,11 +71,10 @@ type Journal struct {
 	logger *slog.Logger
 	reg    *obs.Registry
 
-	// snapshot, when set via SetSnapshot, splits the checkpoint payload
-	// into a synchronous capture (the call itself) and a deferred
-	// encode (the returned function) so the expensive serialization can
-	// run off the cycle hot path. Set once at wiring time, before any
-	// commit; read-only afterwards.
+	// snapshot captures a checkpoint's payload from live system state
+	// and returns its deferred encoder. NewJournal installs one that
+	// runs save into a buffer; SetSnapshot replaces it. Set at wiring
+	// time, before any commit; read-only afterwards.
 	snapshot func() (encode func(w io.Writer) error, err error)
 
 	mu             sync.Mutex
@@ -93,7 +92,21 @@ func NewJournal(st *Store, every int, save func(w io.Writer) error, logger *slog
 		logger = slog.Default()
 	}
 	RegisterHelp(reg)
-	return &Journal{store: st, every: every, save: save, logger: logger, reg: reg}
+	j := &Journal{store: st, every: every, save: save, logger: logger, reg: reg}
+	// Without a seam, serialize live state at capture time, while the
+	// committing goroutine still owns it; defer only the file write.
+	j.snapshot = func() (func(w io.Writer) error, error) {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			return nil, err
+		}
+		data := buf.Bytes()
+		return func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		}, nil
+	}
+	return j
 }
 
 var (
@@ -106,10 +119,9 @@ var (
 // system state synchronously and return a deferred encoder that is
 // safe to run after the system has moved on — normally built from the
 // system's SnapshotState. Call once at wiring time, before the first
-// commit. Without it, every checkpointing commit falls back to running
-// the save callback into a buffer during the capture phase, so
-// correctness never depends on it — only hot-path latency and memory
-// do.
+// commit. Without it, every checkpointing commit runs the save
+// callback into a buffer during the capture phase, so correctness
+// never depends on it — only hot-path latency and memory do.
 func (j *Journal) SetSnapshot(fn func() (encode func(w io.Writer) error, err error)) {
 	j.snapshot = fn
 }
@@ -144,10 +156,10 @@ func (j *Journal) CycleCommitted(rec core.JournalCycle) error {
 //
 // The capture phase (this call) decides whether the commit will
 // checkpoint and, if so, captures the checkpoint payload from live
-// state: through the
-// SetSnapshot seam when one is installed (cheap capture, deferred
-// encode), otherwise by running the save callback into a buffer right
-// here. Either way the returned closure touches no live system state.
+// state through the journal's snapshot: the SetSnapshot seam (cheap
+// capture, deferred encode) or NewJournal's default (save into a
+// buffer right here). Either way the returned closure touches no live
+// system state.
 //
 // The durable phase (the returned closure) appends the cycle record to
 // the WAL — a failure there fails the cycle — and then writes the
@@ -158,28 +170,12 @@ func (j *Journal) CycleCommittedDetached(rec core.JournalCycle) (func() error, e
 	cycles := rec.Index + 1
 	var payload func(w io.Writer) error
 	if j.every > 0 && cycles%j.every == 0 {
-		if j.snapshot != nil {
-			encode, err := j.snapshot()
-			if err != nil {
-				j.logger.Warn("checkpoint snapshot failed; skipping periodic checkpoint", slog.Any("err", err))
-				j.reg.Counter(MetricCheckpoints, "result", "error").Inc()
-			} else {
-				payload = encode
-			}
+		encode, err := j.snapshot()
+		if err != nil {
+			j.logger.Warn("checkpoint snapshot failed; skipping periodic checkpoint", slog.Any("err", err))
+			j.reg.Counter(MetricCheckpoints, "result", "error").Inc()
 		} else {
-			// No snapshot seam: serialize live state now, while this
-			// goroutine still owns it; defer only the file write.
-			var buf bytes.Buffer
-			if err := j.save(&buf); err != nil {
-				j.logger.Warn("checkpoint snapshot failed; skipping periodic checkpoint", slog.Any("err", err))
-				j.reg.Counter(MetricCheckpoints, "result", "error").Inc()
-			} else {
-				data := buf.Bytes()
-				payload = func(w io.Writer) error {
-					_, werr := w.Write(data)
-					return werr
-				}
-			}
+			payload = encode
 		}
 	}
 	return func() error {

@@ -14,29 +14,21 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/experiments"
 )
 
-// journaledSystem opens a store in dir and wires a fresh system to it
-// through a journal with the snapshot-then-encode seam installed, the
-// way crowdlearnd and supervise do.
-func journaledSystem(t testing.TB, env *experiments.Env, dir string, every int) (*core.CrowdLearn, *Store, *Journal) {
+// journaledSystem brings a fresh system up on dir through OpenSystem,
+// the way crowdlearnd and supervise do, wrapping the journal with wrap
+// when it is non-nil.
+func journaledSystem(t testing.TB, env *experiments.Env, dir string, every int, wrap func(*Journal) core.CycleJournal) *Durable {
 	t.Helper()
-	st, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sys *core.CrowdLearn
-	journal := NewJournal(st, every, func(w io.Writer) error { return sys.SaveState(w) }, testLogger(t), nil)
-	sys, err = env.NewSystemWith(func(cfg *core.Config) { cfg.Journal = journal })
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal.SetSnapshot(func() (func(w io.Writer) error, error) {
-		sn, serr := sys.SnapshotState()
-		if serr != nil {
-			return nil, serr
+	d, err := OpenSystem(Options{Dir: dir}, every, func(j core.CycleJournal) (*core.CrowdLearn, error) {
+		if wrap != nil {
+			j = wrap(j.(*Journal))
 		}
-		return sn.Encode, nil
-	})
-	return sys, st, journal
+		return env.NewSystemWith(func(cfg *core.Config) { cfg.Journal = j })
+	}, recoverOpts(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // plainJournal hides a Journal's detachable commit: wrapped in it, the
@@ -113,7 +105,8 @@ func TestPipelinedJournalBitIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pipeSys, pipeStore, _ := journaledSystem(t, env, pipeDir, 4)
+	pipe := journaledSystem(t, env, pipeDir, 4, nil)
+	pipeSys, pipeStore := pipe.Sys, pipe.Store
 	res, err := core.RunCampaign(pipeSys, images, core.CampaignConfig{Cycles: totalCycles, ImagesPerCycle: imagesPerCycle})
 	if err != nil {
 		t.Fatal(err)
@@ -175,27 +168,13 @@ func TestPipelinedCrashRecoveryBitIdentical(t *testing.T) {
 	env := testEnv(t)
 	dir := t.TempDir()
 
-	st, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sys *core.CrowdLearn
-	journal := NewJournal(st, 4, func(w io.Writer) error { return sys.SaveState(w) }, testLogger(t), nil)
-	crasher := &crashingJournal{Journal: journal, crashAt: cyclesBeforeCrash}
-	sys, err = env.NewSystemWith(func(cfg *core.Config) { cfg.Journal = crasher })
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal.SetSnapshot(func() (func(w io.Writer) error, error) {
-		sn, serr := sys.SnapshotState()
-		if serr != nil {
-			return nil, serr
-		}
-		return sn.Encode, nil
+	d := journaledSystem(t, env, dir, 4, func(j *Journal) core.CycleJournal {
+		return &crashingJournal{Journal: j, crashAt: cyclesBeforeCrash}
 	})
+	sys, st := d.Sys, d.Store
 
 	cfg := core.CampaignConfig{Cycles: cyclesBeforeCrash + 1, ImagesPerCycle: imagesPerCycle}
-	_, err = core.RunCampaign(sys, env.Dataset.Test[:(cyclesBeforeCrash+1)*imagesPerCycle], cfg)
+	_, err := core.RunCampaign(sys, env.Dataset.Test[:(cyclesBeforeCrash+1)*imagesPerCycle], cfg)
 	if err == nil {
 		t.Fatal("campaign survived the simulated commit crash")
 	}

@@ -312,7 +312,8 @@ func TestRecoveredStateIdenticalAcrossProcesses(t *testing.T) {
 		return
 	}
 	dir := t.TempDir()
-	sys, st, _ := journaledSystem(t, env, dir, 4)
+	d := journaledSystem(t, env, dir, 4, nil)
+	sys, st := d.Sys, d.Store
 	runCycles(t, sys, env, 0, cyclesBeforeCrash)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"time"
 
@@ -325,9 +324,10 @@ func guardPanics[T any](stage string, fn func() (T, error)) (out T, err error) {
 	return fn()
 }
 
-// buildEpoch assembles a fresh scheme, opens the state directory and
-// recovers the last durable state. On any error the store is closed and
-// no epoch resources are retained.
+// buildEpoch assembles a fresh scheme and, for a durable campaign,
+// opens the state directory and recovers the last durable state
+// through store.OpenSystem. On any error the store is closed and no
+// epoch resources are retained.
 func (c *Campaign) buildEpoch() error {
 	bc := BuildContext{WrapPlatform: func(p core.CrowdPlatform) core.CrowdPlatform { return p }}
 	var br *Breaker
@@ -336,65 +336,39 @@ func (c *Campaign) buildEpoch() error {
 		bc.WrapPlatform = br.Wrap
 	}
 	var (
-		st      *store.Store
-		journal *store.Journal
-		durable *core.CrowdLearn
+		sys core.Scheme
+		d   = &store.Durable{}
+		err error
 	)
-	if c.spec.StateDir != "" {
-		var err error
-		st, err = store.Open(store.Options{
-			Dir:               c.spec.StateDir,
-			RetainCheckpoints: c.spec.RetainCheckpoints,
-			Faults:            c.spec.StoreFaults,
-		})
-		if err != nil {
-			return fmt.Errorf("supervise: campaign %s: %w", c.spec.ID, err)
+	if c.spec.StateDir == "" {
+		if sys, err = guardPanics("build", func() (core.Scheme, error) { return c.spec.Build(bc) }); err != nil {
+			return fmt.Errorf("supervise: build campaign %s: %w", c.spec.ID, err)
 		}
-		// The checkpoint payload closes over the epoch's durable system,
-		// assigned below once Build returns. Metrics stay nil: the
-		// store's unlabeled gauges would clobber across campaigns.
-		journal = store.NewJournal(st, c.spec.CheckpointEvery, func(w io.Writer) error {
-			if durable == nil {
-				return errors.New("supervise: checkpoint before epoch assembly")
-			}
-			return durable.SaveState(w)
-		}, c.sup.logger, nil)
-		// Snapshot-then-encode: detached commits capture checkpoint
-		// state synchronously and defer the expensive gob encode off
-		// the cycle hot path.
-		journal.SetSnapshot(func() (func(io.Writer) error, error) {
-			if durable == nil {
-				return nil, errors.New("supervise: checkpoint before epoch assembly")
-			}
-			sn, err := durable.SnapshotState()
-			if err != nil {
-				return nil, err
-			}
-			return sn.Encode, nil
-		})
-		bc.Journal = journal
-	}
-	sys, err := guardPanics("build", func() (core.Scheme, error) { return c.spec.Build(bc) })
-	if err != nil {
-		if st != nil {
-			if cerr := st.Close(); cerr != nil {
-				c.sup.logger.Warn("store close after failed build", slog.String("campaign", c.spec.ID), slog.Any("err", cerr))
-			}
-		}
-		return fmt.Errorf("supervise: build campaign %s: %w", c.spec.ID, err)
-	}
-	var report *store.RecoveryReport
-	if st != nil {
-		cl, ok := sys.(*core.CrowdLearn)
-		if !ok {
-			if cerr := st.Close(); cerr != nil {
-				c.sup.logger.Warn("store close", slog.String("campaign", c.spec.ID), slog.Any("err", cerr))
-			}
-			return fmt.Errorf("supervise: campaign %s: StateDir requires a *core.CrowdLearn scheme, got %T", c.spec.ID, sys)
-		}
-		durable = cl
-		report, err = guardPanics("recovery", func() (*store.RecoveryReport, error) {
-			return st.Recover(cl, store.RecoverOptions{
+	} else {
+		// stage names the step an error came from. The outer panic guard
+		// labels a panic in recovery replay through the live platform;
+		// the inner one has already labelled a panic in Build. Journal
+		// metrics stay nil: the store's unlabeled gauges would clobber
+		// across campaigns.
+		stage := "open"
+		d, err = guardPanics("recovery", func() (*store.Durable, error) {
+			return store.OpenSystem(store.Options{
+				Dir:               c.spec.StateDir,
+				RetainCheckpoints: c.spec.RetainCheckpoints,
+				Faults:            c.spec.StoreFaults,
+			}, c.spec.CheckpointEvery, func(j core.CycleJournal) (*core.CrowdLearn, error) {
+				stage, bc.Journal = "build", j
+				sys, err := guardPanics("build", func() (core.Scheme, error) { return c.spec.Build(bc) })
+				if err != nil {
+					return nil, err
+				}
+				cl, ok := sys.(*core.CrowdLearn)
+				if !ok {
+					return nil, fmt.Errorf("StateDir requires a *core.CrowdLearn scheme, got %T", sys)
+				}
+				stage = "recover"
+				return cl, nil
+			}, store.RecoverOptions{
 				TrainSamples:   c.spec.TrainSamples,
 				Registry:       c.spec.Registry,
 				ResyncPlatform: true,
@@ -402,22 +376,19 @@ func (c *Campaign) buildEpoch() error {
 			})
 		})
 		if err != nil {
-			if cerr := st.Close(); cerr != nil {
-				c.sup.logger.Warn("store close after failed recovery", slog.String("campaign", c.spec.ID), slog.Any("err", cerr))
-			}
-			return fmt.Errorf("supervise: recover campaign %s: %w", c.spec.ID, err)
+			return fmt.Errorf("supervise: %s campaign %s: %w", stage, c.spec.ID, err)
 		}
-		journal.NoteRecovered(report)
+		sys = d.Sys
 	}
 	c.sup.mu.Lock()
 	c.sys = sys
-	c.durable = durable
-	c.st = st
-	c.journal = journal
+	c.durable = d.Sys
+	c.st = d.Store
+	c.journal = d.Journal
 	c.breaker = br
-	c.recovery = report
-	if report != nil {
-		c.nextCycle = report.NextCycle
+	c.recovery = d.Report
+	if d.Report != nil {
+		c.nextCycle = d.Report.NextCycle
 	} else {
 		// No durability: the fresh scheme starts its history over.
 		c.nextCycle = 0
