@@ -129,14 +129,14 @@ bench-gate:
 	$(BENCH_CMD) | $(GO) run ./cmd/benchjson -gate BENCH_parallel.json -o artefacts/bench-latest.json \
 		-min-speedup 'BenchmarkRunCycleParallel:4:1.0'
 
-# Machine-readable overload trajectory: bring up the crowdlearnd
-# -state-dir stack (core.CrowdLearn, service, WAL fsync per cycle),
-# measure its saturation, then drive 10-image /assess batches through an
-# open-loop arrival ramp twice — once behind the production admission
-# ladder, once with a plain unbounded queue — and append both arms to
-# the committed BENCH_service.json (previous record moves into the
-# document's history, so the file carries the overload-robustness
-# trajectory across changes). Takes about 25 s.
+# Machine-readable overload trajectory: twice — once behind the
+# production admission ladder, once with a plain unbounded queue — bring
+# up the crowdlearnd -state-dir stack (core.CrowdLearn, the campaign
+# worker, WAL fsync per cycle), measure its saturation, then drive
+# 10-image /assess batches through an open-loop arrival ramp scaled by
+# it, and append both arms to the committed BENCH_service.json (previous
+# record moves into the document's history, so the file carries the
+# overload-robustness trajectory across changes). Takes about 25 s.
 load-json:
 	$(GO) run ./cmd/crowdload -o BENCH_service.json
 	@cat BENCH_service.json

@@ -2,15 +2,29 @@
 // service with an HTTP/JSON API.
 //
 // On startup it builds the evaluation lab (synthetic dataset + pilot
-// study), bootstraps a CrowdLearn system with metrics and tracing
-// attached, registers the test split as the assessable image universe,
-// and serves:
+// study), registers the test split as the assessable image universe and
+// starts the supervised campaign runtime (DESIGN.md §13): every
+// campaign is an isolated failure domain with its own CrowdLearn
+// system, circuit breaker, restart policy and, under -state-dir,
+// durable store. By default one campaign, "default", runs and the
+// unprefixed routes are aliases for it:
 //
 //	POST /assess   {"context":"morning","imageIds":[12,57]}
 //	GET  /stats
-//	GET  /metrics  Prometheus text exposition
 //	GET  /trace    recent cycle span trees as JSON
-//	GET  /healthz
+//	GET  /healthz  503 once the campaign is quarantined
+//	GET  /         HTML dashboard
+//
+// The campaign-scoped routes serve every campaign, and /metrics and
+// /images the whole process:
+//
+//	POST /campaigns                {"id":"hurricane-x"}
+//	GET  /campaigns                fleet health and stats; 503 once any campaign is quarantined
+//	GET  /campaigns/{id}
+//	POST /campaigns/{id}/assess    {"context":"morning","imageIds":[12]}
+//	POST /campaigns/{id}/pause     (and /resume, /archive)
+//	GET  /metrics                  Prometheus text exposition
+//	GET  /images
 //
 // Usage:
 //
@@ -20,6 +34,12 @@
 //	            [-campaigns 0] [-stall-timeout 2m]
 //	            [-debug-addr 127.0.0.1:6060] [-version]
 //
+// -campaigns N (N > 0) starts campaigns c00..cNN instead of "default";
+// the unprefixed routes then answer 404. Only "default" reports into
+// the process's metrics registry, tracer and stage profiler, whose
+// series are unlabeled; the supervisor's labeled families cover every
+// campaign.
+//
 // -debug-addr opens a second, operator-facing listener with the
 // profiling surface (DESIGN.md §12): /debug/pprof/* (net/http/pprof),
 // /debug/runtime (runtime/metrics as JSON), /debug/prof (the stage
@@ -28,10 +48,13 @@
 // build identity (also exported as the crowdlearn_build_info gauge) and
 // exits.
 //
-// -queue-depth bounds the assessment queue: when it is full, POST /assess
-// answers 429 with a Retry-After header instead of queueing without
-// limit. -request-timeout caps one assessment end to end (queue wait plus
-// cycle processing). Zero disables either guard.
+// -queue-depth bounds each campaign's assessment queue: when it is full,
+// an assess answers 429 with a Retry-After header instead of queueing
+// without limit. -request-timeout caps one assessment end to end (queue
+// wait plus cycle processing). -stall-timeout arms the per-campaign
+// watchdog: a sensing cycle that makes no progress within it is
+// abandoned and the campaign restarts from its last checkpoint. Zero
+// disables each guard.
 //
 // -state-dir enables durable crash-safe persistence (DESIGN.md §10):
 // every committed cycle is appended to a write-ahead log, a checkpoint is
@@ -39,31 +62,15 @@
 // -checkpoint-retain generations), and on startup the previous process's
 // state — expert weights, bandit budget, CQC model — is recovered from
 // disk instead of re-bootstrapped: the bootstrap training runs only when
-// no checkpoint restores. /healthz reports the last-checkpoint age and
-// /stats the recovery outcome.
+// no checkpoint restores. "default" keeps its state in the directory
+// itself, every other campaign in a subdirectory named after it.
+// /healthz and /campaigns report the last-checkpoint age, /stats the
+// recovery outcome.
 //
-// -campaigns N (N > 0) switches the daemon to the supervised
-// multi-campaign runtime (DESIGN.md §13): N campaigns named c00..cNN
-// start as isolated failure domains, each with its own scheme, circuit
-// breaker, restart policy and — under -state-dir — its own state
-// subdirectory. The API becomes campaign-scoped:
-//
-//	POST /campaigns                {"id":"hurricane-x"}
-//	GET  /campaigns
-//	GET  /campaigns/{id}
-//	POST /campaigns/{id}/assess    {"context":"morning","imageIds":[12]}
-//	POST /campaigns/{id}/pause     (and /resume, /archive)
-//	GET  /healthz                  503 once any campaign is quarantined
-//	GET  /stats, GET /metrics      per-campaign health and labeled series
-//
-// -stall-timeout arms the per-campaign watchdog: a sensing cycle that
-// makes no progress within it is abandoned and the campaign restarts
-// from its last checkpoint (0 disables; campaign mode only).
-//
-// The process shuts down gracefully on SIGINT/SIGTERM: the in-flight
-// sensing cycle completes, the listener drains, queued requests are
-// rejected deterministically, the worker exits, and (with -state-dir) a
-// final checkpoint is written.
+// The process shuts down gracefully on SIGINT/SIGTERM: the listener
+// drains (in-flight assessments complete and answer), every campaign's
+// queued requests are rejected deterministically, its worker exits and,
+// with -state-dir, writes a final checkpoint.
 package main
 
 import (
@@ -112,14 +119,14 @@ func run(args []string, stdout io.Writer) error {
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	traceCap := fs.Int("trace-capacity", obs.DefaultTraceCapacity, "cycle traces retained for GET /trace")
 	workers := fs.Int("workers", 0, "goroutine fan-out for committee voting and model training (0 = GOMAXPROCS, 1 = sequential); assessments are bit-identical at any value")
-	queueDepth := fs.Int("queue-depth", 16, "bounded assessment queue; full queue answers 429 (0 = unbounded)")
+	queueDepth := fs.Int("queue-depth", 16, "bounded per-campaign assessment queue; full queue answers 429 (0 = unbounded)")
 	admissionTarget := fs.Duration("admission-target", 0, "adaptive overload control: queue-delay target for the admission ladder — sustained waits above it degrade requests to AI-only labels before rejecting (0 = disabled)")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-assessment timeout, queue wait included (0 = none)")
 	stateDir := fs.String("state-dir", "", "durable state directory: checkpoints + write-ahead cycle log; recovery runs on startup (empty = no persistence)")
 	checkpointEvery := fs.Int("checkpoint-every", 8, "write a checkpoint every N committed cycles (0 = only on shutdown; requires -state-dir)")
 	checkpointRetain := fs.Int("checkpoint-retain", store.DefaultRetainCheckpoints, "checkpoint generations kept by rotation")
-	campaigns := fs.Int("campaigns", 0, "run the supervised multi-campaign runtime with N initial campaigns (0 = single-service mode)")
-	stallTimeout := fs.Duration("stall-timeout", 2*time.Minute, "per-campaign cycle watchdog; a stalled cycle restarts the campaign (0 = disabled; campaign mode only)")
+	campaigns := fs.Int("campaigns", 0, "start N campaigns c00..cNN instead of the single campaign \"default\"")
+	stallTimeout := fs.Duration("stall-timeout", 2*time.Minute, "per-campaign cycle watchdog; a stalled cycle restarts the campaign (0 = disabled)")
 	debugAddr := fs.String("debug-addr", "", "serve pprof, runtime-metrics and stage-profiler debug endpoints on this address (bind to loopback; empty = disabled)")
 	showVersion := fs.Bool("version", false, "print the build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -234,171 +241,93 @@ func run(args []string, stdout io.Writer) error {
 		defer debugServer.Close()
 	}
 
-	if *campaigns > 0 {
-		return runCampaigns(lab, ln, logger, registry, campaignParams{
-			initial:          *campaigns,
-			stateDir:         *stateDir,
-			checkpointEvery:  *checkpointEvery,
-			checkpointRetain: *checkpointRetain,
-			stallTimeout:     *stallTimeout,
-			queueDepth:       *queueDepth,
-			admissionTarget:  *admissionTarget,
-		})
-	}
-
-	svcOpts := []service.Option{
-		service.WithMetrics(registry),
-		service.WithTracer(tracer),
-		service.WithQueueDepth(*queueDepth),
-		service.WithRequestTimeout(*requestTimeout),
-		service.WithBuildInfo(buildInfo),
+	supOpts := supervise.Options{
+		Logger:         logger,
+		Metrics:        registry,
+		StallTimeout:   *stallTimeout,
+		QueueDepth:     *queueDepth,
+		RequestTimeout: *requestTimeout,
 	}
 	if *admissionTarget > 0 {
-		svcOpts = append(svcOpts, service.WithAdmission(admission.Config{Target: *admissionTarget}))
-	}
-	build := func(journal core.CycleJournal) (*core.CrowdLearn, error) {
-		sys, err := lab.NewSystemWith(func(cfg *core.Config) {
-			cfg.Metrics = registry
-			cfg.Tracer = tracer
-			cfg.Profiler = profiler
-			cfg.Journal = journal
-		})
-		if err == nil {
-			logger.Info("system built", slog.Duration("elapsed", time.Since(started)))
-		}
-		return sys, err
-	}
-	// With -state-dir the system journals every committed cycle and
-	// recovers its predecessor's state before serving; recovery trains
-	// the bootstrap model only when no checkpoint restores. Without one
-	// nothing can restore the model, so train it now rather than on the
-	// first request.
-	var (
-		sys        *core.CrowdLearn
-		checkpoint func() error
-	)
-	if *stateDir != "" {
-		d, err := store.OpenSystem(store.Options{Dir: *stateDir, RetainCheckpoints: *checkpointRetain}, *checkpointEvery, build,
-			store.RecoverOptions{
-				TrainSamples:   classifier.SamplesFromImages(lab.Dataset.Train),
-				Registry:       lab.Dataset.Test,
-				ResyncPlatform: true,
-				Logger:         logger,
-				Metrics:        registry,
-			})
-		if err != nil {
-			return err
-		}
-		defer d.Store.Close()
-		sys, checkpoint = d.Sys, d.Journal.Checkpoint
-		svcOpts = append(svcOpts,
-			service.WithStartCycle(d.Report.NextCycle),
-			service.WithCheckpointAge(d.Journal.CheckpointAge),
-			service.WithRecovery(d.Report))
-	} else {
-		if sys, err = build(nil); err != nil {
-			return err
-		}
-		began := time.Now()
-		if err := sys.EnsureBootstrapped(); err != nil {
-			return err
-		}
-		logger.Info("bootstrap training complete", slog.Duration("elapsed", time.Since(began)))
-	}
-	svc, err := service.New(sys, svcOpts...)
-	if err != nil {
-		return err
-	}
-	svc.Start()
-
-	handler, err := service.NewHandler(svc, lab.Dataset.Test, service.WithLogger(logger))
-	if err != nil {
-		return err
-	}
-	server := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	if err := serveUntilSignal(server, ln, logger, svc.Shutdown, checkpoint); err != nil {
-		return err
-	}
-	stats := svc.Stats()
-	logger.Info("shutdown complete",
-		slog.Int("cyclesRun", stats.CyclesRun),
-		slog.Int("imagesAssessed", stats.ImagesAssessed),
-		slog.Float64("spentDollars", stats.TotalSpent))
-	return nil
-}
-
-// campaignParams carries the campaign-mode knobs from flag parsing.
-type campaignParams struct {
-	initial          int
-	stateDir         string
-	checkpointEvery  int
-	checkpointRetain int
-	stallTimeout     time.Duration
-	queueDepth       int
-	admissionTarget  time.Duration
-}
-
-// runCampaigns serves the supervised multi-campaign runtime: p.initial
-// campaigns created up front, more over POST /campaigns, each an
-// isolated failure domain with its own scheme, breaker and (with a
-// state dir) durable store.
-func runCampaigns(lab *crowdlearn.Lab, ln net.Listener, logger *slog.Logger, registry *obs.Registry, p campaignParams) error {
-	supOpts := supervise.Options{
-		Logger:       logger,
-		Metrics:      registry,
-		StallTimeout: p.stallTimeout,
-		QueueDepth:   p.queueDepth,
-	}
-	if p.admissionTarget > 0 {
-		supOpts.Admission = &admission.Config{Target: p.admissionTarget}
+		supOpts.Admission = &admission.Config{Target: *admissionTarget}
 	}
 	sup := supervise.New(supOpts)
+	trainSamples := classifier.SamplesFromImages(lab.Dataset.Train)
 	factory := func(id string) (supervise.Spec, error) {
-		if strings.ContainsAny(id, "/\\ \t") {
-			return supervise.Spec{}, fmt.Errorf("invalid campaign id %q: no separators or spaces", id)
+		// Campaign state directories nest under -state-dir beside the
+		// default campaign's files, whose names all hold a dot; a dot
+		// also rules out "." and "..".
+		if strings.ContainsAny(id, "/\\. \t") {
+			return supervise.Spec{}, fmt.Errorf("invalid campaign id %q: no separators, dots or spaces", id)
 		}
+		// Only the default campaign reports into the process registry,
+		// tracer and profiler: their series are unlabeled and would
+		// clobber across campaigns. The supervisor's labeled families
+		// cover the fleet view.
+		observed := id == supervise.DefaultCampaign
 		spec := supervise.Spec{
 			ID: id,
 			// Each epoch builds a fresh scheme on its own platform; the
 			// supervisor's breaker wraps the platform so a sustained
 			// crowd outage degrades this campaign to AI-only labels
-			// without touching its siblings. Per-cycle core metrics stay
-			// detached: they are unlabeled and would clobber across
-			// campaigns — the supervisor's labeled families cover the
-			// fleet view.
+			// without touching its siblings.
 			Build: func(bc supervise.BuildContext) (core.Scheme, error) {
-				return lab.NewSystemOn(bc.WrapPlatform(lab.NewPlatform()), func(cfg *core.Config) {
-					if bc.Journal != nil {
-						cfg.Journal = bc.Journal
+				sys, err := lab.NewSystemOn(bc.WrapPlatform(lab.NewPlatform()), func(cfg *core.Config) {
+					cfg.Journal = bc.Journal
+					if observed {
+						cfg.Metrics, cfg.Tracer, cfg.Profiler = registry, tracer, profiler
 					}
 				})
+				if err != nil || bc.Journal != nil {
+					// A durable campaign's recovery trains the bootstrap
+					// model only when no checkpoint restores it.
+					return sys, err
+				}
+				// Nothing can restore the model, so train it now rather
+				// than on the first request.
+				began := time.Now()
+				if err := sys.EnsureBootstrapped(); err != nil {
+					return nil, err
+				}
+				logger.Info("bootstrap training complete", slog.String("campaign", id), slog.Duration("elapsed", time.Since(began)))
+				return sys, nil
 			},
 		}
-		if p.stateDir != "" {
-			spec.StateDir = filepath.Join(p.stateDir, id)
-			spec.CheckpointEvery = p.checkpointEvery
-			spec.RetainCheckpoints = p.checkpointRetain
-			spec.TrainSamples = classifier.SamplesFromImages(lab.Dataset.Train)
+		if *stateDir != "" {
+			// The default campaign owns the state directory itself, so a
+			// single-campaign deployment's directory layout is unchanged.
+			spec.StateDir = *stateDir
+			if !observed {
+				spec.StateDir = filepath.Join(*stateDir, id)
+			}
+			spec.CheckpointEvery = *checkpointEvery
+			spec.RetainCheckpoints = *checkpointRetain
+			spec.TrainSamples = trainSamples
 			spec.Registry = lab.Dataset.Test
 		}
 		return spec, nil
 	}
-	for i := 0; i < p.initial; i++ {
-		id := fmt.Sprintf("c%02d", i)
+	ids := []string{supervise.DefaultCampaign}
+	if *campaigns > 0 {
+		ids = ids[:0]
+		for i := 0; i < *campaigns; i++ {
+			ids = append(ids, fmt.Sprintf("c%02d", i))
+		}
+	}
+	for _, id := range ids {
 		spec, err := factory(id)
 		if err != nil {
 			return err
 		}
 		if _, err := sup.Create(spec); err != nil {
-			return err
+			return errors.Join(err, sup.Shutdown(context.Background()))
 		}
-		logger.Info("campaign ready", slog.String("campaign", id))
+		logger.Info("campaign ready", slog.String("campaign", id), slog.Duration("elapsed", time.Since(started)))
 	}
+
 	handler, err := service.NewCampaignHandler(sup, lab.Dataset.Test, factory,
-		service.WithCampaignMetrics(registry), service.WithCampaignLogger(logger))
+		service.WithMetrics(registry), service.WithTracer(tracer),
+		service.WithBuildInfo(buildInfo), service.WithLogger(logger))
 	if err != nil {
 		return err
 	}
@@ -406,9 +335,7 @@ func runCampaigns(lab *crowdlearn.Lab, ln net.Listener, logger *slog.Logger, reg
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	// The supervisor checkpoints each campaign as its worker drains, so
-	// there is no separate final checkpoint step.
-	if err := serveUntilSignal(server, ln, logger, sup.Shutdown, nil); err != nil {
+	if err := serveUntilSignal(server, ln, logger, sup.Shutdown); err != nil {
 		return err
 	}
 	for _, h := range sup.Health() {
@@ -416,6 +343,8 @@ func runCampaigns(lab *crowdlearn.Lab, ln net.Listener, logger *slog.Logger, reg
 			slog.String("campaign", h.ID),
 			slog.String("state", h.State),
 			slog.Int("cyclesRun", h.Stats.CyclesRun),
+			slog.Int("imagesAssessed", h.Stats.ImagesAssessed),
+			slog.Float64("spentDollars", h.Stats.TotalSpent),
 			slog.Int("restarts", h.TotalRestarts))
 	}
 	return nil
@@ -423,7 +352,12 @@ func runCampaigns(lab *crowdlearn.Lab, ln net.Listener, logger *slog.Logger, reg
 
 // serveUntilSignal serves ln until SIGINT/SIGTERM (or a listener
 // error), then runs the graceful shutdown sequence.
-func serveUntilSignal(server *http.Server, ln net.Listener, logger *slog.Logger, drain func(context.Context) error, checkpoint func() error) error {
+func serveUntilSignal(server *http.Server, ln net.Listener, logger *slog.Logger, drain func(context.Context) error) error {
+	// Catch signals before serving, so no client can see the daemon up
+	// while a SIGTERM would still kill it without the graceful sequence.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	errCh := make(chan error, 1)
 	supervise.Go("daemon.http-server", logger, func() {
 		logger.Info("serving", slog.String("addr", ln.Addr().String()))
@@ -433,9 +367,6 @@ func serveUntilSignal(server *http.Server, ln net.Listener, logger *slog.Logger,
 		}
 		errCh <- nil
 	})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 	select {
 	case sig := <-sigCh:
 		logger.Info("shutting down", slog.String("signal", sig.String()))
@@ -445,16 +376,15 @@ func serveUntilSignal(server *http.Server, ln net.Listener, logger *slog.Logger,
 		}
 		return nil
 	}
-	return shutdownSequence(server.Shutdown, drain, checkpoint, logger, 15*time.Second)
+	return shutdownSequence(server.Shutdown, drain, logger, 15*time.Second)
 }
 
 // shutdownSequence drains the HTTP server (in-flight assessments
-// complete and answer), stops the worker, and — only once the worker
-// has drained cleanly — writes the final checkpoint. An HTTP drain
-// failure is reported but never skips the worker drain or the
-// checkpoint; a worker that fails to drain skips the checkpoint, since
-// a non-quiescent system could checkpoint a torn cycle.
-func shutdownSequence(httpShutdown, drain func(context.Context) error, checkpoint func() error, logger *slog.Logger, timeout time.Duration) error {
+// complete and answer), then stops the campaign workers, each of which
+// writes its final checkpoint only once it has drained — so a worker
+// that fails to drain never checkpoints a torn cycle. An HTTP drain
+// failure is reported but never skips the worker drain.
+func shutdownSequence(httpShutdown, drain func(context.Context) error, logger *slog.Logger, timeout time.Duration) error {
 	httpCtx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	httpErr := httpShutdown(httpCtx)
@@ -465,11 +395,6 @@ func shutdownSequence(httpShutdown, drain func(context.Context) error, checkpoin
 	defer cancel()
 	if err := drain(drainCtx); err != nil {
 		return err
-	}
-	if checkpoint != nil {
-		if err := checkpoint(); err != nil {
-			logger.Warn("shutdown checkpoint failed", slog.Any("err", err))
-		}
 	}
 	if httpErr != nil {
 		return fmt.Errorf("http shutdown: %w", httpErr)

@@ -119,9 +119,8 @@ func TestRunRejectsBadSupervisionFlags(t *testing.T) {
 
 // TestShutdownSequenceOrdering pins the graceful-shutdown contract that
 // regressed before: an HTTP drain failure must not skip the worker
-// drain or the final checkpoint (it is still reported), while a worker
-// that fails to drain must skip the checkpoint — the system is not
-// quiescent.
+// drain (it is still reported), and a worker that fails to drain
+// surfaces its error.
 func TestShutdownSequenceOrdering(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
@@ -129,58 +128,33 @@ func TestShutdownSequenceOrdering(t *testing.T) {
 	err := shutdownSequence(
 		func(context.Context) error { order = append(order, "http"); return errors.New("connection stuck") },
 		func(context.Context) error { order = append(order, "drain"); return nil },
-		func() error { order = append(order, "checkpoint"); return nil },
 		quiet, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "http shutdown") {
 		t.Errorf("http failure must still surface, got %v", err)
 	}
-	if strings.Join(order, ",") != "http,drain,checkpoint" {
-		t.Errorf("order = %v, want http,drain,checkpoint", order)
+	if strings.Join(order, ",") != "http,drain" {
+		t.Errorf("order = %v, want http,drain", order)
 	}
 
-	order = nil
 	err = shutdownSequence(
-		func(context.Context) error { order = append(order, "http"); return nil },
-		func(context.Context) error { order = append(order, "drain"); return errors.New("worker wedged") },
-		func() error { order = append(order, "checkpoint"); return nil },
+		func(context.Context) error { return nil },
+		func(context.Context) error { return errors.New("worker wedged") },
 		quiet, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "worker wedged") {
 		t.Errorf("drain failure must surface, got %v", err)
 	}
-	if strings.Join(order, ",") != "http,drain" {
-		t.Errorf("order = %v, want checkpoint skipped on failed drain", order)
-	}
-
-	if err := shutdownSequence(
-		func(context.Context) error { return nil },
-		func(context.Context) error { return nil },
-		nil, quiet, time.Second); err != nil {
-		t.Errorf("nil checkpoint: %v", err)
-	}
 }
 
-// TestGracefulShutdownDrainsInFlight is the end-to-end regression test
-// for SIGTERM under concurrent load: every /assess in flight at signal
-// time completes with a real assessment, the daemon exits cleanly, and
-// the final checkpoint lands on disk.
-func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the full lab")
-	}
-	stateDir := t.TempDir()
+// startDaemon runs the daemon on a loopback port with args and waits
+// until it serves; the channel yields run's result.
+func startDaemon(t *testing.T, args ...string) (string, <-chan error) {
+	t.Helper()
 	addrCh := make(chan net.Addr, 1)
 	onListen = func(a net.Addr) { addrCh <- a }
-	defer func() { onListen = nil }()
-
+	t.Cleanup(func() { onListen = nil })
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-log-level", "error",
-			"-state-dir", stateDir,
-			"-checkpoint-every", "50", // force the final checkpoint to do the work
-			"-queue-depth", "32",
-		}, io.Discard)
+		runErr <- run(append([]string{"-addr", "127.0.0.1:0", "-log-level", "error"}, args...), io.Discard)
 	}()
 	var base string
 	select {
@@ -194,11 +168,11 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// The listener is up before the lab build; wait for serving.
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(base + "/campaigns")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				break
+				return base, runErr
 			}
 		}
 		if time.Now().After(deadline) {
@@ -206,19 +180,61 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
+}
+
+// stopDaemon sends SIGTERM and waits for run to return cleanly.
+func stopDaemon(t *testing.T, runErr <-chan error) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("daemon shutdown: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon never exited after SIGTERM")
+	}
+}
+
+// imageIDs lists the daemon's assessable image IDs.
+func imageIDs(t *testing.T, base string) []int {
+	t.Helper()
 	resp, err := http.Get(base + "/images")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	var imgs struct {
 		ImageIDs []int `json:"imageIds"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&imgs); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if len(imgs.ImageIDs) < 32 {
-		t.Fatalf("registry too small: %d", len(imgs.ImageIDs))
+	return imgs.ImageIDs
+}
+
+// TestGracefulShutdownDrainsInFlight is the end-to-end regression test
+// for SIGTERM under concurrent load: every /assess in flight at signal
+// time completes with a real assessment, the daemon exits cleanly, and
+// the final checkpoint lands in the state directory's root. A restart
+// on the same directory recovers it: /stats reports the served cycles
+// as the next cycle index.
+func TestGracefulShutdownDrainsInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full lab")
+	}
+	stateDir := t.TempDir()
+	args := []string{
+		"-state-dir", stateDir,
+		"-checkpoint-every", "50", // force the final checkpoint to do the work
+		"-queue-depth", "32",
+	}
+	base, runErr := startDaemon(t, args...)
+	ids := imageIDs(t, base)
+	if len(ids) < 32 {
+		t.Fatalf("registry too small: %d", len(ids))
 	}
 
 	const callers = 6
@@ -228,7 +244,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		go func() {
 			body, _ := json.Marshal(map[string]any{
 				"context":  "morning",
-				"imageIds": imgs.ImageIDs[i*4 : i*4+4],
+				"imageIds": ids[i*4 : i*4+4],
 			})
 			resp, err := http.Post(base+"/assess", "application/json", bytes.NewReader(body))
 			if err != nil {
@@ -277,5 +293,87 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	if !sawCheckpoint {
 		t.Errorf("no final checkpoint in %s: %v", stateDir, entries)
+	}
+
+	base, runErr = startDaemon(t, args...)
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Recovery *struct {
+			Outcome   string `json:"outcome"`
+			NextCycle int    `json:"nextCycle"`
+		} `json:"recovery"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Recovery == nil || stats.Recovery.NextCycle != callers {
+		t.Errorf("restart recovery = %+v, want nextCycle %d", stats.Recovery, callers)
+	}
+	stopDaemon(t, runErr)
+}
+
+// TestCampaignModeHonoursQueueAndTimeoutFlags: with -campaigns 2,
+// -queue-depth 0 queues a burst without a bound (no 429) and
+// -request-timeout bounds each assessment (the burst's tail fails with
+// a deadline instead of waiting its turn).
+func TestCampaignModeHonoursQueueAndTimeoutFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full lab")
+	}
+	const timeout = 300 * time.Millisecond
+	base, runErr := startDaemon(t, "-campaigns", "2", "-queue-depth", "0", "-request-timeout", timeout.String())
+	defer stopDaemon(t, runErr)
+	ids := imageIDs(t, base)
+
+	// 40 ten-image cycles take well over the timeout on one worker, and
+	// arrive together: any bounded queue of the old default depth (8)
+	// would reject most of them.
+	const burst = 40
+	type answer struct {
+		code    int
+		body    string
+		elapsed time.Duration
+		err     error
+	}
+	answers := make(chan answer, burst)
+	for i := 0; i < burst; i++ {
+		i := i
+		go func() {
+			body, _ := json.Marshal(map[string]any{"context": "evening", "imageIds": ids[(i%20)*10 : (i%20)*10+10]})
+			began := time.Now()
+			resp, err := http.Post(base+"/campaigns/c00/assess", "application/json", bytes.NewReader(body))
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			answers <- answer{code: resp.StatusCode, body: string(data), elapsed: time.Since(began)}
+		}()
+	}
+	var ok, timedOut int
+	for i := 0; i < burst; i++ {
+		a := <-answers
+		switch {
+		case a.err != nil:
+			t.Errorf("assess: %v", a.err)
+		case a.code == http.StatusOK:
+			ok++
+		case strings.Contains(a.body, context.DeadlineExceeded.Error()):
+			timedOut++
+		default:
+			t.Errorf("assess status %d: %s", a.code, a.body)
+		}
+		if a.elapsed > timeout+5*time.Second {
+			t.Errorf("assess took %v with -request-timeout %v", a.elapsed, timeout)
+		}
+	}
+	if ok == 0 || timedOut == 0 {
+		t.Errorf("%d answered and %d timed out of %d; want both", ok, timedOut, burst)
 	}
 }

@@ -1,20 +1,20 @@
 // Command crowdload is the overload harness for the assessment service,
-// run on the real pipeline. It brings up the stack crowdlearnd runs with
-// -state-dir (lab, core.CrowdLearn, a WAL journal fsynced every cycle,
-// the service worker and its HTTP handler) on a loopback listener, warms
-// it with 40 crowd-answered cycles and measures its closed-loop
-// saturation. Two fresh stacks, warmed the same way — one behind the
-// production admission ladder, one with the plain unbounded queue — then
-// take the same open-loop arrival ramp (0.5×, 1×, 1.5×, 2× of
-// saturation) of 10-image /assess batches rotating through four campaign
-// tags.
+// run on the real pipeline. Each of its two arms brings up the stack
+// crowdlearnd runs with -state-dir (lab, core.CrowdLearn, a WAL journal
+// fsynced every cycle, the supervised campaign worker and its HTTP
+// handler) on a loopback listener: one behind the production admission
+// ladder, one with the plain unbounded queue. It warms the stack with 40
+// crowd-answered cycles, measures that stack's closed-loop saturation,
+// and drives it through an open-loop arrival ramp (0.5×, 1×, 1.5×, 2×
+// of its own saturation) of 10-image /assess batches rotating through
+// four campaign tags.
 //
 // Per step it records offered load, completions, shed (degraded)
 // responses, 429 rejections, errors, p50/p99 latency, throughput and
-// goodput: in-SLO responses per second, the SLO being 15× the measured
-// service time (1/saturation). AI-only shed responses count — a usable
-// label within the deadline is the point of degrading instead of
-// queueing. The headline is goodputRatio, goodput at 2× over peak
+// goodput: in-SLO responses per second, the SLO being 15× the arm's
+// measured service time (1/saturation). AI-only shed responses count —
+// a usable label within the deadline is the point of degrading instead
+// of queueing. The headline is goodputRatio, goodput at 2× over peak
 // goodput: the ladder keeps it near 1, the unbounded queue collapses it.
 //
 // Writing with -o appends the run to a trajectory document
@@ -63,8 +63,11 @@ import (
 )
 
 const (
-	schema = "crowdlearn-load/2"
-	retain = 12 // history records kept
+	schema = "crowdlearn-load/3"
+	// schemaV2 records carry one saturation probe for both arms; they
+	// stay readable as history.
+	schemaV2 = "crowdlearn-load/2"
+	retain   = 12 // history records kept
 
 	batchSize     = 10 // the paper's sensing-cycle size
 	campaigns     = 4  // distinct fair-share buckets
@@ -116,8 +119,13 @@ type StepRecord struct {
 
 // ArmReport is one stack configuration's run through the ramp.
 type ArmReport struct {
-	Name           string       `json:"name"` // "admission" or "baseline"
-	Admission      bool         `json:"admission"`
+	Name      string `json:"name"` // "admission" or "baseline"
+	Admission bool   `json:"admission"`
+	// SaturationRPS is the arm's warmed stack's closed-loop capacity,
+	// which its ramp multiplies.
+	SaturationRPS  float64      `json:"saturationRps"`
+	ServiceTimeMs  float64      `json:"serviceTimeMs"` // 1/SaturationRPS
+	SLOMs          float64      `json:"sloMs"`         // sloFactor × ServiceTimeMs
 	Steps          []StepRecord `json:"steps"`
 	PeakGoodputRPS float64      `json:"peakGoodputRps"`
 	GoodputAt2xRPS float64      `json:"goodputAt2xRps"`
@@ -129,16 +137,13 @@ type ArmReport struct {
 
 // Report is one recorded harness run.
 type Report struct {
-	RecordedAt    string      `json:"recordedAt,omitempty"` // RFC 3339 UTC
-	Goos          string      `json:"goos"`
-	Goarch        string      `json:"goarch"`
-	NumCPU        int         `json:"numCpu"`
-	GoMaxProcs    int         `json:"goMaxProcs"`
-	BatchSize     int         `json:"batchSize"`
-	SaturationRPS float64     `json:"saturationRps"` // closed-loop capacity
-	ServiceTimeMs float64     `json:"serviceTimeMs"` // 1/SaturationRPS
-	SLOMs         float64     `json:"sloMs"`         // sloFactor × ServiceTimeMs
-	Arms          []ArmReport `json:"arms"`
+	RecordedAt string      `json:"recordedAt,omitempty"` // RFC 3339 UTC
+	Goos       string      `json:"goos"`
+	Goarch     string      `json:"goarch"`
+	NumCPU     int         `json:"numCpu"`
+	GoMaxProcs int         `json:"goMaxProcs"`
+	BatchSize  int         `json:"batchSize"`
+	Arms       []ArmReport `json:"arms"`
 }
 
 func main() {
@@ -164,27 +169,16 @@ func run(out, gate string) error {
 		Timeout:   clientTimeout,
 		Transport: &http.Transport{MaxIdleConns: 4096, MaxIdleConnsPerHost: 4096},
 	}
-	saturation, err := measureSaturation(client)
-	if err != nil {
-		return fmt.Errorf("saturation probe: %w", err)
-	}
-	serviceTime := time.Duration(float64(time.Second) / saturation)
-	slo := sloFactor * serviceTime
-	fmt.Printf("saturation: %.0f req/s (service time %v, SLO %v)\n", saturation, serviceTime, slo)
-
 	rep := &Report{
-		RecordedAt:    time.Now().UTC().Format(time.RFC3339),
-		Goos:          runtime.GOOS,
-		Goarch:        runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		BatchSize:     batchSize,
-		SaturationRPS: saturation,
-		ServiceTimeMs: float64(serviceTime) / float64(time.Millisecond),
-		SLOMs:         float64(slo) / float64(time.Millisecond),
+		RecordedAt: time.Now().UTC().Format(time.RFC3339),
+		Goos:       runtime.GOOS,
+		Goarch:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		BatchSize:  batchSize,
 	}
 	for _, name := range []string{"admission", "baseline"} {
-		ar, err := runArm(name, client, saturation, slo)
+		ar, err := runArm(name, client)
 		if err != nil {
 			return fmt.Errorf("arm %s: %w", name, err)
 		}
@@ -194,7 +188,7 @@ func run(out, gate string) error {
 	}
 
 	if out != "" {
-		prev, err := trajectory.Read(out, schema)
+		prev, err := trajectory.Read(out, schema, schemaV2)
 		if err != nil {
 			return err
 		}
@@ -217,14 +211,25 @@ func run(out, gate string) error {
 	return nil
 }
 
-// runArm stands up one stack and drives the full ramp against it.
-func runArm(name string, client *http.Client, saturation float64, slo time.Duration) (_ *ArmReport, err error) {
+// runArm stands up one warmed stack, measures its saturation and
+// drives the full ramp against it, scaled by that saturation.
+func runArm(name string, client *http.Client) (_ *ArmReport, err error) {
 	ar := &ArmReport{Name: name, Admission: name == "admission"}
 	st, err := startStack(client, ar.Admission)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { err = errors.Join(err, st.stop()) }()
+	saturation, err := st.measureSaturation(client)
+	if err != nil {
+		return nil, fmt.Errorf("saturation probe: %w", err)
+	}
+	serviceTime := time.Duration(float64(time.Second) / saturation)
+	slo := sloFactor * serviceTime
+	ar.SaturationRPS = saturation
+	ar.ServiceTimeMs = float64(serviceTime) / float64(time.Millisecond)
+	ar.SLOMs = float64(slo) / float64(time.Millisecond)
+	fmt.Printf("arm %-9s saturation %.0f req/s (service time %v, SLO %v)\n", name, saturation, serviceTime, slo)
 	for _, m := range multipliers {
 		rec := runStep(st.url, client, st.bodies, m, m*saturation, step, slo)
 		ar.Steps = append(ar.Steps, rec)
@@ -307,7 +312,9 @@ func startStack(client *http.Client, withAdmission bool) (_ *stack, err error) {
 	if err != nil {
 		return nil, err
 	}
-	svc.Start()
+	if err := svc.Start(); err != nil {
+		return nil, err
+	}
 	undo = append(undo, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -367,16 +374,11 @@ func (st *stack) warm(client *http.Client) error {
 	return nil
 }
 
-// measureSaturation runs a short closed loop against a stack without
-// admission control to find the single-worker drain rate the ramp
-// multipliers scale.
-func measureSaturation(client *http.Client) (_ float64, err error) {
-	st, err := startStack(client, false)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { err = errors.Join(err, st.stop()) }()
-
+// measureSaturation runs a short closed loop against the warmed stack
+// to find the single-worker drain rate its ramp multipliers scale. Only
+// full cycles count: behind the admission ladder the probe's queue can
+// trip the degrade tier, whose answers take the worker almost no time.
+func (st *stack) measureSaturation(client *http.Client) (float64, error) {
 	var completed atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -386,7 +388,7 @@ func measureSaturation(client *http.Client) (_ float64, err error) {
 		supervise.Go(fmt.Sprintf("crowdload.probe.%d", w), nil, func() {
 			defer wg.Done()
 			for i := w; time.Now().Before(deadline); i += probeClients {
-				if o := fire(client, st.url, st.bodies[i%len(st.bodies)]); o.err == nil && o.status == http.StatusOK {
+				if o := fire(client, st.url, st.bodies[i%len(st.bodies)]); o.err == nil && o.status == http.StatusOK && !o.shed {
 					completed.Add(1)
 				}
 			}
@@ -494,7 +496,7 @@ func runStep(url string, client *http.Client, bodies [][]byte, multiplier, rate 
 // gateCommitted holds the committed document's current record to the
 // admission half of the property.
 func gateCommitted(path string) error {
-	doc, err := trajectory.Read(path, schema)
+	doc, err := trajectory.Read(path, schema, schemaV2)
 	if err == nil && doc == nil {
 		err = fmt.Errorf("%s does not exist", path)
 	}

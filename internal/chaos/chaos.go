@@ -365,9 +365,10 @@ func (r *Runner) Run(sc Scenario, dir string) *Result {
 
 	reg := obs.NewRegistry()
 	supOpts := supervise.Options{
-		Logger:  logger,
-		Metrics: reg,
-		Sleep:   func(time.Duration) {}, // backoff delays are asserted, not slept
+		Logger:     logger,
+		Metrics:    reg,
+		QueueDepth: 8,
+		Sleep:      func(time.Duration) {}, // backoff delays are asserted, not slept
 	}
 	if sc.Overload != nil {
 		supOpts.Admission = overloadAdmission()
@@ -566,7 +567,7 @@ func (r *Runner) driveCampaign(sup *supervise.Supervisor, sc Scenario, idx int, 
 		tctx := crowd.TemporalContext(cycle % crowd.NumContexts)
 		batch := images[cycle*perCycle : (cycle+1)*perCycle]
 		script.Arm()
-		res, err := sup.Assess(context.Background(), id, tctx, batch)
+		res, err := sup.Assess(context.Background(), id, supervise.Request{Context: tctx, Images: batch})
 		if err == nil {
 			if res.Cycle != cycle {
 				cres.AssessErrors = append(cres.AssessErrors,
@@ -634,7 +635,7 @@ func (r *Runner) driveBurst(sup *supervise.Supervisor, sc Scenario, logger *slog
 				im := images[idx%len(images)]
 				op := func(ctx context.Context) error {
 					atomic.AddInt64(&attempts, 1)
-					ares, err := sup.Assess(ctx, "burst", crowd.Morning, []*imagery.Image{im})
+					ares, err := sup.Assess(ctx, "burst", supervise.Request{Context: crowd.Morning, Images: []*imagery.Image{im}})
 					if err != nil {
 						return err
 					}
@@ -968,9 +969,9 @@ func (res *Result) checkOverload() []string {
 		problems = append(problems, fmt.Sprintf("overload: retry arm performed no retries (%d attempts for %d clients)",
 			o.Attempts, o.Requests))
 	}
-	needle := fmt.Sprintf("%s{campaign=\"burst\",decision=\"degrade\"}", supervise.MetricCampaignAdmission)
+	needle := fmt.Sprintf("%s{campaign=\"burst\",result=\"shed\"}", supervise.MetricCampaignCycles)
 	if !strings.Contains(res.Metrics, needle) {
-		problems = append(problems, "overload: no degrade decision for the burst campaign in /metrics")
+		problems = append(problems, "overload: no degraded answer for the burst campaign in /metrics")
 	}
 	return problems
 }

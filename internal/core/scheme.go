@@ -124,7 +124,7 @@ type Scheme interface {
 // semantics: the distribution is the weighted ensemble's AI verdict).
 //
 // Implementations must be safe to call from the same goroutine that
-// calls RunCycle (the service worker serialises both) and must not
+// calls RunCycle (the campaign worker serialises both) and must not
 // mutate scheme state, so a degraded burst leaves replay byte-identical.
 type DegradedAssessor interface {
 	AssessDegraded(in CycleInput) (CycleOutput, error)

@@ -69,7 +69,7 @@ func campaignFixture(t *testing.T, panics map[string]*int) (*httptest.Server, []
 			},
 		}, nil
 	}
-	h, err := NewCampaignHandler(sup, registry, factory, WithCampaignMetrics(metrics))
+	h, err := NewCampaignHandler(sup, registry, factory, WithMetrics(metrics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCampaignHTTPValidation(t *testing.T) {
 }
 
 // TestCampaignHTTPQuarantineHealthz drives a campaign into quarantine
-// over the API and checks the fleet surfaces: /healthz flips to 503
+// over the API and checks the fleet surfaces: GET /campaigns flips to 503
 // naming the quarantined campaign, per-campaign health carries the
 // restart accounting, metrics expose the labeled families, and an
 // operator resume over the API brings the campaign back.
@@ -244,9 +244,9 @@ func TestCampaignHTTPQuarantineHealthz(t *testing.T) {
 			t.Fatalf("assess %d unexpectedly fine: %s", i, data)
 		}
 	}
-	resp, data := getJSON(t, srv.URL+"/healthz")
+	resp, data := getJSON(t, srv.URL+"/campaigns")
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with quarantined campaign: %d, want 503", resp.StatusCode)
+		t.Fatalf("fleet health with quarantined campaign: %d, want 503", resp.StatusCode)
 	}
 	var hz struct {
 		Status      string   `json:"status"`
@@ -256,7 +256,7 @@ func TestCampaignHTTPQuarantineHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hz.Status != "quarantined" || len(hz.Quarantined) != 1 || hz.Quarantined[0] != "sick" {
-		t.Fatalf("healthz body = %s", data)
+		t.Fatalf("fleet health body = %s", data)
 	}
 	// The healthy sibling still serves.
 	if resp, data := postJSON(t, srv.URL+"/campaigns/well/assess", assessBody); resp.StatusCode != http.StatusOK {
@@ -283,7 +283,7 @@ func TestCampaignHTTPQuarantineHealthz(t *testing.T) {
 	if resp, data := postJSON(t, srv.URL+"/campaigns/sick/assess", assessBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("assess after resume: %d %s", resp.StatusCode, data)
 	}
-	if resp, _ := getJSON(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after resume: %d, want 200", resp.StatusCode)
+	if resp, _ := getJSON(t, srv.URL+"/campaigns"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet health after resume: %d, want 200", resp.StatusCode)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"html/template"
 	"net/http"
 	"sort"
+
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
 // dashboardTemplate renders the operator status page served at GET /.
@@ -88,7 +90,7 @@ type expertWeight struct {
 	Weight float64
 }
 
-// handleDashboard serves the HTML status page.
+// handleDashboard serves the DefaultCampaign's HTML status page.
 func (h *Handler) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -98,12 +100,21 @@ func (h *Handler) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET required"})
 		return
 	}
-	recent := h.svc.Recent()
-	// Newest first for the operator.
-	for i, j := 0, len(recent)-1; i < j; i, j = i+1, j-1 {
-		recent[i], recent[j] = recent[j], recent[i]
+	c, ok := h.defaultHealth(w)
+	if !ok {
+		return
 	}
-	stats := h.svc.Stats()
+	results, err := h.sup.Recent(supervise.DefaultCampaign)
+	if err != nil {
+		writeSupError(w, err)
+		return
+	}
+	// Newest first for the operator.
+	recent := make([]Response, len(results))
+	for i, res := range results {
+		recent[len(results)-1-i] = newResponse(res)
+	}
+	stats := newStats(h.sup, c, h.cfg.build)
 	weights := make([]expertWeight, 0, len(stats.ExpertWeights))
 	for name, wgt := range stats.ExpertWeights {
 		weights = append(weights, expertWeight{Name: name, Weight: wgt})

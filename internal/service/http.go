@@ -14,50 +14,41 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 	"github.com/crowdlearn/crowdlearn/internal/obs"
+	"github.com/crowdlearn/crowdlearn/internal/prof"
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
-// frontDoor is what both HTTP faces share: the image registry request
-// IDs resolve against, the route mux behind one accounting and
-// panic-recovery middleware, the POST /assess body decoder, and the
-// /images and /metrics endpoints.
-type frontDoor struct {
-	images   map[int]*imagery.Image
-	mux      *http.ServeMux
-	registry *obs.Registry
-	logger   *slog.Logger
-}
-
-func newFrontDoor(registry []*imagery.Image) (frontDoor, error) {
-	f := frontDoor{images: make(map[int]*imagery.Image, len(registry)), mux: http.NewServeMux()}
-	for _, im := range registry {
-		if im == nil {
-			return frontDoor{}, errors.New("service: nil image in registry")
-		}
-		f.images[im.ID] = im
-	}
-	return f, nil
-}
-
-// Handler exposes a Service over HTTP/JSON:
+// Handler exposes a supervise.Supervisor over HTTP/JSON. The
+// unprefixed routes serve the supervise.DefaultCampaign and answer 404
+// without one:
 //
 //	POST /assess   {"context":"morning","imageIds":[1,2,3]} -> Response
 //	GET  /stats    -> Stats (includes expert weights + remaining budget)
-//	GET  /metrics  -> Prometheus text exposition (when metrics attached)
 //	GET  /trace    -> recent cycle span trees as JSON (when tracing attached)
-//	GET  /healthz  -> 200 once the service is running
+//	GET  /healthz  -> 200 while the campaign serves, 503 once quarantined
+//	GET  /         -> HTML dashboard
+//
+// The fleet routes (campaigns.go) serve every campaign, and two routes
+// serve the whole process:
+//
+//	GET  /metrics  -> Prometheus text exposition (when metrics attached)
+//	GET  /images   -> the assessable image IDs
 //
 // Clients reference images by ID against a registry supplied at
 // construction (the test split of the generated dataset, in the shipped
 // daemon). In a real deployment the registry would be an ingestion store
 // of crawled social-media images.
 type Handler struct {
-	frontDoor
-	svc *Service
+	cfg     config
+	images  map[int]*imagery.Image
+	mux     *http.ServeMux
+	sup     *supervise.Supervisor
+	factory SpecFactory
 }
 
 var _ http.Handler = (*Handler)(nil)
 
-// HTTP-layer metric names, emitted when the service carries a registry.
+// HTTP-layer metric names, emitted when the handler carries a registry.
 const (
 	// MetricHTTPRequests counts requests by path and status code.
 	MetricHTTPRequests = "crowdlearn_http_requests_total"
@@ -65,39 +56,46 @@ const (
 	MetricHTTPDuration = "crowdlearn_http_request_duration_seconds"
 )
 
-// HandlerOption customises a Handler.
-type HandlerOption func(*Handler)
-
-// WithLogger attaches a structured logger; request handling errors
-// (status >= 500) are logged at error level, the rest of the request
-// stream at debug level.
-func WithLogger(l *slog.Logger) HandlerOption {
-	return func(h *Handler) { h.logger = l }
-}
-
-// NewHandler builds the HTTP facade over svc with the given image
-// registry. Metrics and tracing endpoints activate automatically when
-// the service was built with WithMetrics / WithTracer.
-func NewHandler(svc *Service, registry []*imagery.Image, opts ...HandlerOption) (*Handler, error) {
+// NewHandler builds the HTTP face of svc with the given image registry.
+// It serves svc's metrics, tracer and checkpoint age; opts add to them.
+func NewHandler(svc *Service, registry []*imagery.Image, opts ...Option) (*Handler, error) {
 	if svc == nil {
 		return nil, errors.New("service: nil service")
 	}
-	fd, err := newFrontDoor(registry)
-	if err != nil {
-		return nil, err
+	return newHandler(svc.sup, registry, nil, svc.cfg, opts)
+}
+
+// NewCampaignHandler builds the HTTP face of sup. The image registry
+// resolves request image IDs; factory serves POST /campaigns (nil
+// disables creation over the API with 403).
+func NewCampaignHandler(sup *supervise.Supervisor, registry []*imagery.Image, factory SpecFactory, opts ...Option) (*Handler, error) {
+	if sup == nil {
+		return nil, errors.New("service: nil supervisor")
 	}
-	fd.registry = svc.Registry()
-	h := &Handler{frontDoor: fd, svc: svc}
+	return newHandler(sup, registry, factory, config{}, opts)
+}
+
+func newHandler(sup *supervise.Supervisor, registry []*imagery.Image, factory SpecFactory, cfg config, opts []Option) (*Handler, error) {
 	for _, opt := range opts {
-		opt(h)
+		opt(&cfg)
 	}
-	h.mux.HandleFunc("/assess", only(http.MethodPost, h.handleAssess))
+	h := &Handler{cfg: cfg, images: make(map[int]*imagery.Image, len(registry)), mux: http.NewServeMux(), sup: sup, factory: factory}
+	for _, im := range registry {
+		if im == nil {
+			return nil, errors.New("service: nil image in registry")
+		}
+		h.images[im.ID] = im
+	}
+	h.mux.HandleFunc("/assess", only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+		h.assess(w, r, supervise.DefaultCampaign)
+	}))
 	h.mux.HandleFunc("/stats", only(http.MethodGet, h.handleStats))
 	h.mux.HandleFunc("/metrics", only(http.MethodGet, h.handleMetrics))
 	h.mux.HandleFunc("/trace", only(http.MethodGet, h.handleTrace))
 	h.mux.HandleFunc("/healthz", h.handleHealth)
 	h.mux.HandleFunc("/images", only(http.MethodGet, h.handleImages))
 	h.mux.HandleFunc("/", h.handleDashboard)
+	h.routeCampaigns()
 	return h, nil
 }
 
@@ -136,7 +134,7 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // instead of tearing down the connection (and, under net/http's default
 // behaviour, only that connection: the middleware makes the failure
 // observable rather than silent).
-func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	started := time.Now()
 	func() {
@@ -145,9 +143,9 @@ func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if p == nil {
 				return
 			}
-			f.registry.Counter(MetricPanicsRecovered).Inc()
-			if f.logger != nil {
-				f.logger.Error("panic in handler", slog.String("path", r.URL.Path), slog.Any("panic", p))
+			h.cfg.registry.Counter(supervise.MetricPanicsRecovered).Inc()
+			if h.cfg.logger != nil {
+				h.cfg.logger.Error("panic in handler", slog.String("path", r.URL.Path), slog.Any("panic", p))
 			}
 			if !rec.wroteHeader {
 				writeJSON(rec, http.StatusInternalServerError, errorBody{Error: "internal error"})
@@ -155,21 +153,21 @@ func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				rec.status = http.StatusInternalServerError
 			}
 		}()
-		f.mux.ServeHTTP(rec, r)
+		h.mux.ServeHTTP(rec, r)
 	}()
 	elapsed := time.Since(started)
 
 	// Label with the registered pattern, not the raw URL, to bound
 	// series cardinality (all dashboard paths collapse to "/").
 	path := r.URL.Path
-	if _, pattern := f.mux.Handler(r); pattern != "" {
+	if _, pattern := h.mux.Handler(r); pattern != "" {
 		path = pattern
 	}
-	if f.registry != nil {
-		f.registry.Histogram(MetricHTTPDuration, obs.DefBuckets, "path", path).Observe(elapsed.Seconds())
-		f.registry.Counter(MetricHTTPRequests, "path", path, "code", strconv.Itoa(rec.status)).Inc()
+	if h.cfg.registry != nil {
+		h.cfg.registry.Histogram(MetricHTTPDuration, obs.DefBuckets, "path", path).Observe(elapsed.Seconds())
+		h.cfg.registry.Counter(MetricHTTPRequests, "path", path, "code", strconv.Itoa(rec.status)).Inc()
 	}
-	if f.logger != nil {
+	if h.cfg.logger != nil {
 		attrs := []any{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -177,9 +175,9 @@ func (f *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Duration("elapsed", elapsed),
 		}
 		if rec.status >= http.StatusInternalServerError {
-			f.logger.Error("request failed", attrs...)
+			h.cfg.logger.Error("request failed", attrs...)
 		} else {
-			f.logger.Debug("request", attrs...)
+			h.cfg.logger.Debug("request", attrs...)
 		}
 	}
 }
@@ -191,8 +189,9 @@ type AssessRequest struct {
 	Context string `json:"context"`
 	// ImageIDs reference registered images.
 	ImageIDs []int `json:"imageIds"`
-	// Campaign optionally identifies the submitting campaign for the
-	// admission controller's fair-share accounting.
+	// Campaign optionally tags the request for the admission
+	// controller's fair-share accounting (supervise.Request.Tag); it
+	// does not select the campaign that serves it.
 	Campaign string `json:"campaign,omitempty"`
 }
 
@@ -232,70 +231,81 @@ func parseContext(name string) (crowd.TemporalContext, error) {
 // decodeAssess decodes and validates a POST /assess body and resolves
 // its image IDs. On failure it has written the 400 or 404 answer and
 // returns false.
-func (f *frontDoor) decodeAssess(w http.ResponseWriter, r *http.Request) (Request, bool) {
+func (h *Handler) decodeAssess(w http.ResponseWriter, r *http.Request) (supervise.Request, bool) {
 	var body AssessRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid JSON: %v", err)})
-		return Request{}, false
+		return supervise.Request{}, false
 	}
 	ctx, err := parseContext(body.Context)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return Request{}, false
+		return supervise.Request{}, false
 	}
 	if len(body.ImageIDs) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "imageIds must be non-empty"})
-		return Request{}, false
+		return supervise.Request{}, false
 	}
 	images := make([]*imagery.Image, len(body.ImageIDs))
 	for i, id := range body.ImageIDs {
-		im, ok := f.images[id]
+		im, ok := h.images[id]
 		if !ok {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown image id %d", id)})
-			return Request{}, false
+			return supervise.Request{}, false
 		}
 		images[i] = im
 	}
-	return Request{Context: ctx, Images: images, Campaign: body.Campaign}, true
+	return supervise.Request{Context: ctx, Images: images, Tag: body.Campaign}, true
 }
 
-func (h *Handler) handleAssess(w http.ResponseWriter, r *http.Request) {
+// assess serves one POST /assess or /campaigns/{id}/assess on campaign
+// id.
+func (h *Handler) assess(w http.ResponseWriter, r *http.Request, id string) {
 	req, ok := h.decodeAssess(w, r)
 	if !ok {
 		return
 	}
-	resp, err := h.svc.Assess(r.Context(), req)
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
-		w.Header().Set("Retry-After", retryAfterSeconds(err))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
-	}
-	if errors.Is(err, ErrNotRunning) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
-	}
+	res, err := h.sup.Assess(r.Context(), id, req)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeSupError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, newResponse(res))
+}
+
+// defaultHealth resolves the DefaultCampaign for the unprefixed routes;
+// without it, it has answered 404 and returns false.
+func (h *Handler) defaultHealth(w http.ResponseWriter) (supervise.CampaignHealth, bool) {
+	c, err := h.sup.CampaignHealth(supervise.DefaultCampaign)
+	if err != nil {
+		writeSupError(w, err)
+		return c, false
+	}
+	return c, true
+}
+
+// newStats assembles the GET /stats body for one campaign's health.
+func newStats(sup *supervise.Supervisor, c supervise.CampaignHealth, build *prof.BuildInfo) Stats {
+	return Stats{CampaignStats: c.Stats, Admission: sup.Admission(), Recovery: c.Recovery, Build: build}
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.svc.Stats())
+	if c, ok := h.defaultHealth(w); ok {
+		writeJSON(w, http.StatusOK, newStats(h.sup, c, h.cfg.build))
+	}
 }
 
 // handleMetrics serves the Prometheus text exposition of the attached
 // registry.
-func (f *frontDoor) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if f.registry == nil {
+func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if h.cfg.registry == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "metrics not enabled"})
 		return
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
 	w.WriteHeader(http.StatusOK)
-	if err := f.registry.WritePrometheus(w); err != nil && f.logger != nil {
-		f.logger.Error("metrics write", slog.Any("err", err))
+	if err := h.cfg.registry.WritePrometheus(w); err != nil && h.cfg.logger != nil {
+		h.cfg.logger.Error("metrics write", slog.Any("err", err))
 	}
 }
 
@@ -308,7 +318,10 @@ type TraceResponse struct {
 // handleTrace serves the N most recent cycle span trees
 // (GET /trace?n=10; n defaults to 10, capped by the tracer's ring).
 func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := h.svc.Tracer()
+	if _, ok := h.defaultHealth(w); !ok {
+		return
+	}
+	tr := h.cfg.tracer
 	if tr == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "tracing not enabled"})
 		return
@@ -327,35 +340,60 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleImages lists the assessable image IDs so clients can discover the
 // registry without out-of-band knowledge.
-func (f *frontDoor) handleImages(w http.ResponseWriter, r *http.Request) {
-	ids := make([]int, 0, len(f.images))
-	for id := range f.images {
+func (h *Handler) handleImages(w http.ResponseWriter, r *http.Request) {
+	ids := make([]int, 0, len(h.images))
+	for id := range h.images {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	writeJSON(w, http.StatusOK, map[string]any{"imageIds": ids, "count": len(ids)})
 }
 
+// handleHealth reports the DefaultCampaign's health: 200 while it
+// serves — status "degraded" when a recent answer fell back to AI
+// labels, so operators look while load balancers keep it — and 503 once
+// it is quarantined.
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if !h.svc.started {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "not started"})
+	c, ok := h.defaultHealth(w)
+	if !ok {
 		return
 	}
-	// Degraded is still 200: the service is serving (on AI labels), so
-	// load balancers must not eject it — but operators should look.
+	recent, err := h.sup.Recent(supervise.DefaultCampaign)
+	if err != nil {
+		writeSupError(w, err)
+		return
+	}
 	body := map[string]any{"status": "ok"}
-	if h.svc.Degraded() {
+	status := http.StatusOK
+	switch {
+	case c.State == supervise.StateQuarantined.String():
+		body["status"], status = c.State, http.StatusServiceUnavailable
+	case recentlyDegraded(recent):
 		body["status"] = "degraded"
 	}
-	if b := h.svc.stats.Build; b != nil {
+	if b := h.cfg.build; b != nil {
 		body["version"] = b.String()
 	}
-	if h.svc.checkpointAge != nil {
-		if age, ok := h.svc.checkpointAge(); ok {
+	switch {
+	case h.cfg.checkpointAge != nil:
+		body["lastCheckpointAgeSeconds"] = nil
+		if age, ok := h.cfg.checkpointAge(); ok {
 			body["lastCheckpointAgeSeconds"] = age.Seconds()
-		} else {
-			body["lastCheckpointAgeSeconds"] = nil
+		}
+	case c.Durable:
+		body["lastCheckpointAgeSeconds"] = c.LastCheckpointAgeSeconds
+	}
+	writeJSON(w, status, body)
+}
+
+// recentlyDegraded reports whether any recent answer fell back to AI
+// labels after crowd failures, or was shed to them: the campaign still
+// serves, but its crowd channel is impaired or it is overloaded.
+func recentlyDegraded(recent []supervise.AssessResult) bool {
+	for _, res := range recent {
+		if len(res.Output.Degraded) > 0 {
+			return true
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return false
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 	"github.com/crowdlearn/crowdlearn/internal/obs"
 	"github.com/crowdlearn/crowdlearn/internal/prof"
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
 // clFixture builds the expensive full CrowdLearn environment (dataset +
@@ -175,7 +176,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Error("no expert weight gauges exposed")
 	}
 	// Request-latency histogram is present with sum/count.
-	if _, ok := samples[MetricAssessDuration+"_count"]; !ok {
+	if _, ok := samples[supervise.MetricAssessDuration+"_count"]; !ok {
 		t.Errorf("assess latency histogram missing:\n%s", text)
 	}
 	if !strings.Contains(text, MetricHTTPDuration+"_bucket{path=\"/assess\"") {

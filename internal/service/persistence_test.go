@@ -3,13 +3,17 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"github.com/crowdlearn/crowdlearn/internal/classifier"
+	"github.com/crowdlearn/crowdlearn/internal/core"
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
-	"github.com/crowdlearn/crowdlearn/internal/store"
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
 // TestStartCycleOffsetsIndices: a service resumed after recovery
@@ -26,7 +30,7 @@ func TestStartCycleOffsetsIndices(t *testing.T) {
 		defer cancel()
 		svc.Shutdown(ctx)
 	}()
-	resp, err := svc.Assess(context.Background(), Request{Context: crowd.Morning, Images: ds.Test[:2]})
+	resp, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +85,35 @@ func TestHealthzReportsCheckpointAge(t *testing.T) {
 	}
 }
 
-// TestStatsExposeRecovery: the startup recovery report is published on
-// /stats so a resumed deployment is distinguishable from a fresh one.
+// TestStatsExposeRecovery: a durable default campaign publishes its
+// startup recovery report on /stats, so a resumed deployment is
+// distinguishable from a fresh one.
 func TestStatsExposeRecovery(t *testing.T) {
-	scheme, ds := fixture(t)
-	rs := &store.RecoveryReport{Outcome: "checkpoint+wal", CheckpointCycles: 16, CyclesReplayed: 4}
-	svc, err := New(scheme, WithRecovery(rs))
-	if err != nil {
+	ds, pilot := crowdLearnFixture(t)
+	sup := supervise.New(supervise.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = sup.Shutdown(ctx)
+	})
+	if _, err := sup.Create(supervise.Spec{
+		ID:           supervise.DefaultCampaign,
+		StateDir:     t.TempDir(),
+		TrainSamples: classifier.SamplesFromImages(ds.Train),
+		Registry:     ds.Test,
+		Build: func(bc supervise.BuildContext) (core.Scheme, error) {
+			cfg := core.DefaultConfig()
+			cfg.Journal = bc.Journal
+			cl, err := core.New(cfg, bc.WrapPlatform(crowd.MustNewPlatform(crowd.DefaultConfig())))
+			if err != nil {
+				return nil, err
+			}
+			return cl, cl.Bootstrap(ds.Train, pilot)
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
-	}()
-	h, err := NewHandler(svc, ds.Test[:10])
+	h, err := NewCampaignHandler(sup, ds.Test[:10], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +123,12 @@ func TestStatsExposeRecovery(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Recovery == nil || stats.Recovery.Outcome != "checkpoint+wal" || stats.Recovery.CheckpointCycles != 16 {
+	if stats.Recovery == nil || stats.Recovery.Outcome == "" || stats.Recovery.NextCycle != 0 {
 		t.Errorf("stats recovery = %+v", stats.Recovery)
 	}
 
-	// Without WithRecovery the field stays absent from the JSON.
+	// A campaign without a durable store leaves the field absent.
+	scheme, _ := fixture(t)
 	plain, err := New(scheme)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +150,6 @@ func TestStatsExposeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, present := raw["recovery"]; present {
-		t.Error("recovery key present without WithRecovery")
+		t.Error("recovery key present without a durable store")
 	}
 }

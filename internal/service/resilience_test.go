@@ -17,6 +17,7 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 	"github.com/crowdlearn/crowdlearn/internal/obs"
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
 // stubScheme is a controllable scheme for resilience tests: it can block
@@ -73,8 +74,19 @@ func (s *stubScheme) AssessDegraded(in core.CycleInput) (core.CycleOutput, error
 	return out, nil
 }
 
-func oneImageRequest(ds *imagery.Dataset) Request {
-	return Request{Context: crowd.Morning, Images: ds.Test[:1]}
+// degradedNow reports whether svc's recent answers flip /healthz to
+// "degraded".
+func degradedNow(t *testing.T, svc *Service) bool {
+	t.Helper()
+	recent, err := svc.sup.Recent(supervise.DefaultCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recentlyDegraded(recent)
+}
+
+func oneImageRequest(ds *imagery.Dataset) supervise.Request {
+	return supervise.Request{Context: crowd.Morning, Images: ds.Test[:1]}
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -87,7 +99,7 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // TestQueueFullBackpressure: with a bounded queue, a busy worker plus a
-// full queue rejects immediately with ErrQueueFull and counts it.
+// full queue rejects immediately with ErrBusy and counts it.
 func TestQueueFullBackpressure(t *testing.T) {
 	_, ds := fixture(t)
 	// entered has room for the second held cycle's signal, which
@@ -102,7 +114,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 	results := make(chan error, 2)
 	go func() { // occupies the worker
-		_, err := svc.Assess(context.Background(), oneImageRequest(ds))
+		_, err := assess(context.Background(), svc, oneImageRequest(ds))
 		results <- err
 	}()
 	// Wait until the worker is inside the first request's cycle, then
@@ -110,17 +122,17 @@ func TestQueueFullBackpressure(t *testing.T) {
 	<-scheme.entered
 	deadline := time.Now().Add(5 * time.Second)
 	go func() {
-		_, err := svc.Assess(context.Background(), oneImageRequest(ds))
+		_, err := assess(context.Background(), svc, oneImageRequest(ds))
 		results <- err
 	}()
-	for len(svc.requests) == 0 && time.Now().Before(deadline) {
+	for queued(t, svc) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := svc.Assess(context.Background(), oneImageRequest(ds)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third concurrent request: err %v, want ErrQueueFull", err)
+	if _, err := assess(context.Background(), svc, oneImageRequest(ds)); !errors.Is(err, supervise.ErrBusy) {
+		t.Fatalf("third concurrent request: err %v, want ErrBusy", err)
 	}
-	if got := reg.Counter(MetricQueueRejected).Value(); got != 1 {
+	if got := reg.Counter(supervise.MetricQueueRejected).Value(); got != 1 {
 		t.Errorf("rejected counter %v, want 1", got)
 	}
 
@@ -146,7 +158,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Start()
-	if _, err := svc.Assess(context.Background(), oneImageRequest(ds)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := assess(context.Background(), svc, oneImageRequest(ds)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want DeadlineExceeded", err)
 	}
 	close(scheme.block) // the worker finishes into the buffered reply
@@ -175,20 +187,20 @@ func TestWorkerPanicRecovered(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	_, err = svc.Assess(context.Background(), oneImageRequest(ds))
-	if err == nil || !strings.Contains(err.Error(), "recovered panic") {
-		t.Fatalf("err %v, want recovered panic", err)
+	_, err = assess(context.Background(), svc, oneImageRequest(ds))
+	if !errors.Is(err, supervise.ErrCyclePanicked) {
+		t.Fatalf("err %v, want ErrCyclePanicked", err)
 	}
-	if got := reg.Counter(MetricPanicsRecovered).Value(); got != 1 {
+	if got := reg.Counter(supervise.MetricPanicsRecovered).Value(); got != 1 {
 		t.Errorf("panic counter %v, want 1", got)
 	}
-	if _, err := svc.Assess(context.Background(), oneImageRequest(ds)); err != nil {
+	if _, err := assess(context.Background(), svc, oneImageRequest(ds)); err != nil {
 		t.Fatalf("request after panic failed: %v", err)
 	}
 }
 
 // TestShutdownUnderLoad: with many concurrent callers racing Shutdown,
-// every Assess returns deterministically — success or ErrNotRunning —
+// every Assess returns deterministically — success or ErrShutdown —
 // queued requests are drained, and the worker exits. Run with -race.
 func TestShutdownUnderLoad(t *testing.T) {
 	_, ds := fixture(t)
@@ -205,7 +217,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := svc.Assess(context.Background(), oneImageRequest(ds))
+			resp, err := assess(context.Background(), svc, oneImageRequest(ds))
 			if err == nil && len(resp.Assessments) != 1 {
 				errs <- errors.New("successful response without assessments")
 				return
@@ -226,7 +238,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 		switch {
 		case err == nil:
 			ok++
-		case errors.Is(err, ErrNotRunning):
+		case errors.Is(err, supervise.ErrShutdown):
 			rejected++
 		default:
 			t.Errorf("unexpected outcome: %v", err)
@@ -236,8 +248,8 @@ func TestShutdownUnderLoad(t *testing.T) {
 		t.Errorf("accounted %d of %d callers", ok+rejected, callers)
 	}
 	// Post-shutdown requests always reject.
-	if _, err := svc.Assess(context.Background(), oneImageRequest(ds)); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("post-shutdown err %v, want ErrNotRunning", err)
+	if _, err := assess(context.Background(), svc, oneImageRequest(ds)); !errors.Is(err, supervise.ErrShutdown) {
+		t.Errorf("post-shutdown err %v, want ErrShutdown", err)
 	}
 }
 
@@ -264,17 +276,17 @@ func TestDegradedHealthAndStats(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	if svc.Degraded() {
+	if degradedNow(t, svc) {
 		t.Fatal("degraded before any cycle ran")
 	}
-	resp, err := svc.Assess(context.Background(), oneImageRequest(ds))
+	resp, err := assess(context.Background(), svc, oneImageRequest(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.DegradedImageIDs) != 1 {
 		t.Fatalf("degraded IDs %v, want one", resp.DegradedImageIDs)
 	}
-	if !svc.Degraded() {
+	if !degradedNow(t, svc) {
 		t.Fatal("service not degraded after a degraded cycle")
 	}
 
@@ -321,7 +333,7 @@ func TestHTTPPanicMiddleware(t *testing.T) {
 	if hr.StatusCode != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500", hr.StatusCode)
 	}
-	if got := reg.Counter(MetricPanicsRecovered).Value(); got != 1 {
+	if got := reg.Counter(supervise.MetricPanicsRecovered).Value(); got != 1 {
 		t.Errorf("panic counter %v, want 1", got)
 	}
 }
@@ -354,11 +366,11 @@ func TestHTTPQueueFullMapsTo429(t *testing.T) {
 	done := make(chan *http.Response, 2)
 	go func() { done <- post() }() // occupies the worker
 	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.requests) != 0 && time.Now().Before(deadline) {
+	for queued(t, svc) != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	go func() { done <- post() }() // parks in the queue slot
-	for len(svc.requests) == 0 && time.Now().Before(deadline) {
+	for queued(t, svc) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -385,7 +397,7 @@ func TestHTTPQueueFullMapsTo429(t *testing.T) {
 // TestAdmissionLadderShedsAndRejects: with the controller saturated, a
 // request lands on the degrade tier (AI-only labels, no committed
 // cycle) and one past the hard cap is rejected with a retryable
-// ErrOverloaded carrying a Retry-After hint.
+// ErrBusy carrying a Retry-After hint.
 func TestAdmissionLadderShedsAndRejects(t *testing.T) {
 	_, ds := fixture(t)
 	scheme := &stubScheme{block: make(chan struct{}), entered: make(chan struct{})}
@@ -404,7 +416,7 @@ func TestAdmissionLadderShedsAndRejects(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	submit := func() {
-		resp, err := svc.Assess(context.Background(), oneImageRequest(ds))
+		resp, err := assess(context.Background(), svc, oneImageRequest(ds))
 		results <- result{resp, err}
 	}
 
@@ -420,9 +432,9 @@ func TestAdmissionLadderShedsAndRejects(t *testing.T) {
 	}
 
 	// Third arrival is past MaxLimit: rejected, retryable, with a hint.
-	_, err = svc.Assess(context.Background(), oneImageRequest(ds))
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated Assess err %v, want ErrOverloaded", err)
+	_, err = assess(context.Background(), svc, oneImageRequest(ds))
+	if !errors.Is(err, supervise.ErrBusy) {
+		t.Fatalf("saturated Assess err %v, want ErrBusy", err)
 	}
 	if !admission.IsRetryable(err) {
 		t.Error("rejection not marked retryable")
@@ -467,7 +479,7 @@ func TestAdmissionLadderShedsAndRejects(t *testing.T) {
 		t.Errorf("snapshot admitted=%d degraded=%d rejected=%d, want 1/1/1",
 			snap.Admitted, snap.Degraded, snap.Rejected)
 	}
-	if got := reg.Counter(MetricAdmissionDecisions, "decision", "reject").Value(); got != 1 {
+	if got := reg.Counter(supervise.MetricAdmissionDecisions, "decision", "reject").Value(); got != 1 {
 		t.Errorf("reject decision counter %v, want 1", got)
 	}
 
@@ -475,6 +487,72 @@ func TestAdmissionLadderShedsAndRejects(t *testing.T) {
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdmissionFairShareByTag: the fleet of one keys admission fair
+// share by the request's campaign tag. Under pressure, a tag that has
+// spent its share is rejected while a tag with share left is still
+// served on the degrade tier. (TestAdmissionLadderShedsAndRejects sends
+// untagged requests, which share one bucket, so it cannot show this.)
+func TestAdmissionFairShareByTag(t *testing.T) {
+	_, ds := fixture(t)
+	scheme := &stubScheme{block: make(chan struct{}), entered: make(chan struct{})}
+	svc, err := New(scheme, WithAdmission(admission.Config{
+		MinLimit: 1, MaxLimit: 8, InitialLimit: 1,
+		// One token per tag, refilled far slower than the test runs.
+		CampaignRate: 0.001, CampaignBurst: 1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	tagged := func(tag string) supervise.Request {
+		req := oneImageRequest(ds)
+		req.Tag = tag
+		return req
+	}
+	type result struct {
+		resp Response
+		err  error
+	}
+	submit := func(tag string, out chan<- result) {
+		resp, err := assess(context.Background(), svc, tagged(tag))
+		out <- result{resp, err}
+	}
+
+	held := make(chan result, 1)
+	go submit("heavy", held) // spends heavy's token; the worker holds it
+	<-scheme.entered
+
+	_, err = assess(context.Background(), svc, tagged("heavy"))
+	if !errors.Is(err, supervise.ErrBusy) || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("heavy tag over its share: err %v, want ErrBusy (limit)", err)
+	}
+	light := make(chan result, 1)
+	go submit("light", light)
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Admission.Inflight != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(scheme.block)
+	if r := <-held; r.err != nil || r.resp.Shed {
+		t.Errorf("held heavy request: shed=%v err=%v, want a full cycle", r.resp.Shed, r.err)
+	}
+	if r := <-light; r.err != nil || !r.resp.Shed {
+		t.Errorf("light tag under pressure: shed=%v err=%v, want a degraded answer", r.resp.Shed, r.err)
+	}
+	if snap := svc.Stats().Admission; snap.Rejected != 1 || snap.Degraded != 1 {
+		t.Errorf("snapshot rejected=%d degraded=%d, want 1/1", snap.Rejected, snap.Degraded)
 	}
 }
 
@@ -572,7 +650,7 @@ func TestShutdownRetryRace(t *testing.T) {
 			defer wg.Done()
 			p := admission.RetryPolicy{Seed: seed, Sleep: func(time.Duration) {}}
 			err := p.Do(context.Background(), func(ctx context.Context) error {
-				_, err := svc.Assess(ctx, oneImageRequest(ds))
+				_, err := assess(ctx, svc, oneImageRequest(ds))
 				return err
 			})
 			if err == nil {
@@ -585,7 +663,7 @@ func TestShutdownRetryRace(t *testing.T) {
 	// Hold the worker until requests are provably parked in the queue, so
 	// Shutdown's drain path is exercised, then release the cycle.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.requests) == 0 && time.Now().Before(deadline) {
+	for queued(t, svc) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

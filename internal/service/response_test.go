@@ -115,7 +115,7 @@ func fullAndShed(t *testing.T, url string, scheme *fixedScheme, inflight func() 
 }
 
 // TestAssessBodiesIdenticalAcrossFrontDoors: for the same full and
-// shed cycle outputs, the single-service POST /assess and the campaign
+// shed cycle outputs, the unprefixed POST /assess and the campaign
 // POST /campaigns/{id}/assess answer byte-identical bodies. A shed
 // answer lists no queried images as [] in both.
 func TestAssessBodiesIdenticalAcrossFrontDoors(t *testing.T) {

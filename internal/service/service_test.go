@@ -18,6 +18,7 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/core"
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
+	"github.com/crowdlearn/crowdlearn/internal/supervise"
 )
 
 // fixture builds a trained AI-only scheme (cheap) plus the dataset once.
@@ -45,6 +46,26 @@ func fixture(t *testing.T) (core.Scheme, *imagery.Dataset) {
 		t.Fatal(fxErr)
 	}
 	return fxScheme, fxDS
+}
+
+// assess runs one request on svc's campaign and renders it as
+// POST /assess does.
+func assess(ctx context.Context, svc *Service, req supervise.Request) (Response, error) {
+	res, err := svc.sup.Assess(ctx, supervise.DefaultCampaign, req)
+	if err != nil {
+		return Response{}, err
+	}
+	return newResponse(res), nil
+}
+
+// queued is the number of requests waiting in svc's campaign queue.
+func queued(t *testing.T, svc *Service) int {
+	t.Helper()
+	h, err := svc.sup.CampaignHealth(supervise.DefaultCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Queued
 }
 
 func startService(t *testing.T) (*Service, *imagery.Dataset) {
@@ -77,15 +98,15 @@ func TestAssessBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = svc.Assess(context.Background(), Request{Context: crowd.Morning, Images: ds.Test[:2]})
-	if err != ErrNotRunning {
-		t.Errorf("Assess before Start = %v, want ErrNotRunning", err)
+	_, err = assess(context.Background(), svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:2]})
+	if !errors.Is(err, supervise.ErrUnknownCampaign) {
+		t.Errorf("Assess before Start = %v, want ErrUnknownCampaign", err)
 	}
 }
 
 func TestAssessBasic(t *testing.T) {
 	svc, ds := startService(t)
-	resp, err := svc.Assess(context.Background(), Request{Context: crowd.Evening, Images: ds.Test[:5]})
+	resp, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Evening, Images: ds.Test[:5]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +145,7 @@ func TestCycleIndicesSequentialUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := svc.Assess(context.Background(), Request{
+			resp, err := assess(context.Background(), svc, supervise.Request{
 				Context: crowd.Morning,
 				Images:  ds.Test[i*5 : i*5+5],
 			})
@@ -152,7 +173,7 @@ func TestCycleIndicesSequentialUnderConcurrency(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	svc, ds := startService(t)
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Assess(context.Background(), Request{Context: crowd.Midnight, Images: ds.Test[:4]}); err != nil {
+		if _, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Midnight, Images: ds.Test[:4]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,8 +200,8 @@ func TestShutdownStopsAssess(t *testing.T) {
 	}
 	// The stopped-service error keeps the sentinel and is marked
 	// retryable: shutdown usually precedes a restart or failover.
-	if _, err := svc.Assess(context.Background(), Request{Context: crowd.Morning, Images: ds.Test[:1]}); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("Assess after Shutdown = %v, want ErrNotRunning", err)
+	if _, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:1]}); !errors.Is(err, supervise.ErrShutdown) {
+		t.Errorf("Assess after Shutdown = %v, want ErrShutdown", err)
 	}
 	// Double shutdown is safe.
 	if err := svc.Shutdown(ctx); err != nil {
@@ -192,7 +213,7 @@ func TestAssessContextCancellation(t *testing.T) {
 	svc, ds := startService(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := svc.Assess(ctx, Request{Context: crowd.Morning, Images: ds.Test[:1]})
+	_, err := assess(ctx, svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:1]})
 	if err == nil {
 		t.Error("cancelled context should be able to abort Assess")
 	}
@@ -200,7 +221,7 @@ func TestAssessContextCancellation(t *testing.T) {
 
 func TestInvalidCycleInputSurfacesError(t *testing.T) {
 	svc, _ := startService(t)
-	if _, err := svc.Assess(context.Background(), Request{Context: crowd.Morning}); err == nil {
+	if _, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Morning}); err == nil {
 		t.Error("empty image batch must surface the scheme's validation error")
 	}
 }
@@ -400,18 +421,21 @@ func readAll(t *testing.T, resp *http.Response) string {
 
 func TestServiceRecentRingBuffer(t *testing.T) {
 	svc, ds := startService(t)
-	for i := 0; i < recentCapacity+5; i++ {
-		if _, err := svc.Assess(context.Background(), Request{Context: crowd.Morning, Images: ds.Test[:1]}); err != nil {
+	for i := 0; i < supervise.RecentResults+5; i++ {
+		if _, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:1]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recent := svc.Recent()
-	if len(recent) != recentCapacity {
-		t.Fatalf("recent length %d, want %d", len(recent), recentCapacity)
+	recent, err := svc.sup.Recent(supervise.DefaultCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recent) != supervise.RecentResults {
+		t.Fatalf("recent length %d, want %d", len(recent), supervise.RecentResults)
 	}
 	// Newest last; indices must be the final cycles.
-	if recent[len(recent)-1].CycleIndex != recentCapacity+4 {
-		t.Errorf("last recent cycle %d, want %d", recent[len(recent)-1].CycleIndex, recentCapacity+4)
+	if recent[len(recent)-1].Cycle != supervise.RecentResults+4 {
+		t.Errorf("last recent cycle %d, want %d", recent[len(recent)-1].Cycle, supervise.RecentResults+4)
 	}
 }
 
@@ -424,7 +448,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc.Start()
-		if _, err := svc.Assess(context.Background(), Request{Context: crowd.Morning, Images: ds.Test[:2]}); err != nil {
+		if _, err := assess(context.Background(), svc, supervise.Request{Context: crowd.Morning, Images: ds.Test[:2]}); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -10,9 +11,9 @@ import (
 	"github.com/crowdlearn/crowdlearn/internal/admission"
 	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/core"
-	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 	"github.com/crowdlearn/crowdlearn/internal/mathx"
+	"github.com/crowdlearn/crowdlearn/internal/obs"
 	"github.com/crowdlearn/crowdlearn/internal/store"
 )
 
@@ -86,11 +87,17 @@ type Spec struct {
 	// Build assembles the campaign's scheme; see BuildFunc.
 	Build BuildFunc
 	// StateDir, when non-empty, enables durable crash-safe persistence
-	// (internal/store) and restart-from-checkpoint. The built scheme
+	// (internal/store) and restart-from-checkpoint. The DefaultCampaign's
+	// store reports into Options.Metrics; other campaigns' stores stay
+	// detached, since the store's unlabeled series would clobber. The built scheme
 	// must then be a *core.CrowdLearn. Empty runs the campaign without
-	// durability: a restart rebuilds from bootstrap and the cycle
-	// sequence starts over.
+	// durability: a restart rebuilds from bootstrap and the cycle index
+	// keeps counting from where the failed epoch left it.
 	StateDir string
+	// StartCycle is the first cycle index of a campaign without a
+	// StateDir, for a scheme whose durable state the caller recovered
+	// itself (a durable campaign resumes at its recovered NextCycle).
+	StartCycle int
 	// CheckpointEvery is the checkpoint cadence in committed cycles
 	// (0 = only at shutdown/archive).
 	CheckpointEvery int
@@ -117,6 +124,8 @@ type AssessResult struct {
 	// Cycle is the committed cycle index — or, for a Shed result, the
 	// next uncommitted index, repeated without being consumed.
 	Cycle int `json:"cycle"`
+	// Images are the request's images, in input order.
+	Images []*imagery.Image `json:"-"`
 	// Output is the scheme's assessment.
 	Output core.CycleOutput `json:"-"`
 	// Shed marks a result served on the admission controller's degrade
@@ -124,19 +133,46 @@ type AssessResult struct {
 	Shed bool `json:"shed,omitempty"`
 }
 
-// campaignStats is per-campaign lifetime accounting.
-type campaignStats struct {
-	CyclesRun      int     `json:"cyclesRun"`
-	CycleErrors    int     `json:"cycleErrors"`
-	ImagesAssessed int     `json:"imagesAssessed"`
-	CrowdQueries   int     `json:"crowdQueries"`
-	SpentDollars   float64 `json:"spentDollars"`
-	DegradedImages int     `json:"degradedImages"`
-	Stalls         int     `json:"stalls"`
-	// ShedCycles counts requests served on the admission degrade tier
-	// (AI-only labels, no committed cycle).
-	ShedCycles int `json:"shedCycles,omitempty"`
+// CampaignStats is one campaign's lifetime accounting: served per
+// campaign by GET /campaigns and, for the DefaultCampaign, by GET /stats.
+type CampaignStats struct {
+	CyclesRun int `json:"cyclesRun"`
+	// ImagesAssessed counts images of full cycles and shed answers.
+	ImagesAssessed  int     `json:"imagesAssessed"`
+	CrowdQueries    int     `json:"crowdQueries"`
+	TotalSpent      float64 `json:"totalSpentDollars"`
+	MeanCrowdDelayS float64 `json:"meanCrowdDelaySeconds"`
+	// DegradedCycles counts cycles in which at least one image fell back
+	// to its AI label after crowd failures; DegradedImages those images.
+	DegradedCycles int `json:"degradedCycles"`
+	DegradedImages int `json:"degradedImages"`
+	// Requeries counts HIT reposts; RefundedDollars the refunds for
+	// unanswered posts.
+	Requeries       int     `json:"crowdRequeries"`
+	RefundedDollars float64 `json:"refundedDollars"`
+	// BudgetRemaining and ExpertWeights snapshot an Observable scheme
+	// after every committed cycle; nil for other schemes.
+	BudgetRemaining *float64           `json:"budgetRemainingDollars,omitempty"`
+	ExpertWeights   map[string]float64 `json:"expertWeights,omitempty"`
+	// ShedResponses counts requests served on the admission degrade
+	// tier (AI-only labels, no committed cycle).
+	ShedResponses int `json:"shedResponses,omitempty"`
+	CycleErrors   int `json:"cycleErrors"`
+	Stalls        int `json:"stalls"`
 }
+
+// Observable is the optional telemetry surface a scheme may implement
+// (core.CrowdLearn does). The worker snapshots it after every committed
+// cycle, when no cycle of the epoch is running, so implementations need
+// no locking against concurrent RunCycle calls.
+type Observable interface {
+	ExpertWeights() map[string]float64
+	RemainingBudget() float64
+}
+
+// RecentResults is how many of its latest answers a campaign keeps for
+// the dashboard and the degraded health status.
+const RecentResults = 20
 
 // CampaignHealth is one campaign's health snapshot, served by /healthz.
 type CampaignHealth struct {
@@ -154,8 +190,13 @@ type CampaignHealth struct {
 	// NextCycle is the index the next sensing cycle will use.
 	NextCycle int  `json:"nextCycle"`
 	Durable   bool `json:"durable"`
+	// LastCheckpointAgeSeconds is the time since the durable store's last
+	// checkpoint; nil before the first one and for campaigns without one.
+	LastCheckpointAgeSeconds *float64 `json:"lastCheckpointAgeSeconds,omitempty"`
+	// Queued counts requests waiting in the campaign's queue.
+	Queued int `json:"queued"`
 	// Stats carries lifetime cycle accounting.
-	Stats campaignStats `json:"stats"`
+	Stats CampaignStats `json:"stats"`
 	// Breaker is nil when the campaign runs without one.
 	Breaker *BreakerHealth `json:"breaker,omitempty"`
 	// Recovery reports how the current epoch's state was reconstructed
@@ -164,12 +205,15 @@ type CampaignHealth struct {
 }
 
 type campaignReq struct {
-	tctx   crowd.TemporalContext
-	images []*imagery.Image
-	reply  chan campaignReply
+	Request
+	// ctx is the caller's context; the worker checks it after dequeue
+	// so a request whose caller vanished while queued skips its cycle.
+	ctx   context.Context
+	reply chan campaignReply
 	// ticket tracks the request through the fleet-wide admission
-	// controller (nil without Options.Admission). The worker feeds its
-	// queue wait via Dequeued; the Assess caller owns Done/Abandon.
+	// controller (nil without Options.Admission). Once the request is
+	// queued the worker owns it: Dequeued, then exactly one of Done
+	// (a cycle or degraded answer ran) or Abandon (it never did).
 	ticket *admission.Ticket
 	// degraded routes the cycle to the scheme's AI-only fast path.
 	degraded bool
@@ -223,8 +267,12 @@ type Campaign struct {
 	total     int // lifetime
 	lastErr   error
 	nextCycle int
-	stats     campaignStats
+	stats     CampaignStats
 	recovery  *store.RecoveryReport
+	// crowdDelay and delayedCycles feed stats.MeanCrowdDelayS.
+	crowdDelay    time.Duration
+	delayedCycles int
+	recent        []AssessResult // newest last, at most RecentResults
 
 	// Current epoch's resources.
 	sys     core.Scheme
@@ -282,15 +330,22 @@ func (c *Campaign) health() CampaignHealth {
 		TotalRestarts: c.total,
 		NextCycle:     c.nextCycle,
 		Durable:       c.spec.StateDir != "",
+		Queued:        len(c.requests),
 		Stats:         c.stats,
 		Recovery:      c.recovery,
 	}
 	if c.lastErr != nil {
 		h.LastError = c.lastErr.Error()
 	}
-	br := c.breaker
+	br, journal := c.breaker, c.journal
 	state := c.state
 	c.sup.mu.Unlock()
+	if journal != nil {
+		if age, ok := journal.CheckpointAge(); ok {
+			secs := age.Seconds()
+			h.LastCheckpointAgeSeconds = &secs
+		}
+	}
 	if br != nil {
 		bh := br.Health()
 		h.Breaker = &bh
@@ -347,10 +402,12 @@ func (c *Campaign) buildEpoch() error {
 	} else {
 		// stage names the step an error came from. The outer panic guard
 		// labels a panic in recovery replay through the live platform;
-		// the inner one has already labelled a panic in Build. Journal
-		// metrics stay nil: the store's unlabeled gauges would clobber
-		// across campaigns.
+		// the inner one has already labelled a panic in Build.
 		stage := "open"
+		var metrics *obs.Registry
+		if c.spec.ID == DefaultCampaign {
+			metrics = c.sup.metrics
+		}
 		d, err = guardPanics("recovery", func() (*store.Durable, error) {
 			return store.OpenSystem(store.Options{
 				Dir:               c.spec.StateDir,
@@ -373,6 +430,7 @@ func (c *Campaign) buildEpoch() error {
 				Registry:       c.spec.Registry,
 				ResyncPlatform: true,
 				Logger:         c.sup.logger,
+				Metrics:        metrics,
 			})
 		})
 		if err != nil {
@@ -380,21 +438,32 @@ func (c *Campaign) buildEpoch() error {
 		}
 		sys = d.Sys
 	}
+	weights, budget := telemetry(sys)
 	c.sup.mu.Lock()
 	c.sys = sys
 	c.durable = d.Sys
 	c.st = d.Store
 	c.journal = d.Journal
 	c.breaker = br
-	c.recovery = d.Report
 	if d.Report != nil {
+		c.recovery = d.Report
 		c.nextCycle = d.Report.NextCycle
-	} else {
-		// No durability: the fresh scheme starts its history over.
-		c.nextCycle = 0
 	}
+	c.stats.ExpertWeights, c.stats.BudgetRemaining = weights, budget
 	c.sup.mu.Unlock()
 	return nil
+}
+
+// telemetry reads an Observable scheme's weights and budget (nil for
+// other schemes) while no cycle of it runs. Reading a core.CrowdLearn
+// whose bootstrap training is still deferred runs the training.
+func telemetry(sys core.Scheme) (map[string]float64, *float64) {
+	o, ok := sys.(Observable)
+	if !ok {
+		return nil, nil
+	}
+	budget := o.RemainingBudget()
+	return o.ExpertWeights(), &budget
 }
 
 // teardownEpoch fences the current epoch: optionally write a final
@@ -427,7 +496,7 @@ func (c *Campaign) loop() {
 	for {
 		select {
 		case <-c.stop:
-			c.drain(ErrShutdown)
+			c.drain(errStopping)
 			if s := c.State(); s == StateRunning || s == StatePaused || s == StateRestarting {
 				c.teardownEpoch(s != StateRestarting)
 			}
@@ -440,11 +509,20 @@ func (c *Campaign) loop() {
 	}
 }
 
+// errStopping answers requests still queued at shutdown. It is marked
+// retryable: shutdown typically precedes a restart or a failover, so a
+// well-behaved client resubmits elsewhere.
+var errStopping = admission.MarkRetryable(fmt.Errorf("%w: draining queued requests", ErrShutdown))
+
 // drain rejects every queued request so callers return deterministically.
+// None of them ran, so their admission tickets are abandoned rather than
+// completed: a completion would feed the drain-rate estimate a cycle
+// that never happened and shorten the Retry-After hint.
 func (c *Campaign) drain(err error) {
 	for {
 		select {
 		case req := <-c.requests:
+			req.ticket.Abandon(c.sup.nowd())
 			req.reply <- campaignReply{err: err}
 		default:
 			return
@@ -525,47 +603,24 @@ func (c *Campaign) handleCtl(op ctlOp) ctlReply {
 	}
 }
 
-// handleAssess runs one sensing cycle for a queued request.
+// handleAssess serves one queued request: a full sensing cycle or,
+// on the admission degrade tier, the scheme's AI-only fast path. A
+// request that can no longer run — the campaign is stopping or not
+// serving, or its caller has gone — is answered without a cycle.
 func (c *Campaign) handleAssess(req campaignReq) {
 	wait := req.ticket.Dequeued(c.sup.nowd())
-	if err := stateErr(c.State()); err != nil {
+	if c.sup.admit != nil {
+		c.sup.metrics.Histogram(MetricQueueWait, obs.DefBuckets).Observe(wait.Seconds())
+	}
+	if err := c.refusal(req); err != nil {
+		req.ticket.Abandon(c.sup.nowd())
 		req.reply <- campaignReply{err: err}
 		return
 	}
-	c.sup.mu.Lock()
-	cycle := c.nextCycle
-	sys := c.sys
-	c.sup.mu.Unlock()
-	in := core.CycleInput{Index: cycle, Context: req.tctx, Images: req.images}
-	if req.ticket != nil {
-		in.Attrs = []core.TraceAttr{
-			{Key: "campaign", Value: c.spec.ID},
-			{Key: "queueWaitMs", Value: wait.Milliseconds()},
-		}
-	}
-	if req.degraded {
-		if deg, ok := sys.(core.DegradedAssessor); ok {
-			c.handleDegraded(deg, req, in)
-			return
-		}
-		// The scheme offers no fast path; the degrade tier collapses to
-		// a full cycle (work conservation).
-	}
-	out, err := c.runGuarded(sys, in)
-	if err == nil {
-		c.noteCycle(in, out)
-		req.reply <- campaignReply{res: AssessResult{Campaign: c.spec.ID, Cycle: cycle, Output: out}}
-		return
-	}
-	c.sup.mu.Lock()
-	c.stats.CycleErrors++
-	if errors.Is(err, ErrCycleStalled) {
-		c.stats.Stalls++
-	}
-	c.sup.mu.Unlock()
-	c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", "error").Inc()
-	if errors.Is(err, ErrCycleStalled) {
-		c.sup.metrics.Counter(MetricCampaignStalls, "campaign", c.spec.ID).Inc()
+	res, err := c.serve(req, wait)
+	req.ticket.Done(c.sup.nowd(), err == nil)
+	if c.sup.admit != nil {
+		c.sup.metrics.Gauge(MetricAdmissionLimit).Set(float64(c.sup.admit.Snapshot().Limit))
 	}
 	// Restart before replying: when the error reaches the caller the
 	// campaign is already rebuilt (or quarantined), so an immediate
@@ -573,34 +628,71 @@ func (c *Campaign) handleAssess(req campaignReq) {
 	if restartable(err) {
 		c.restartLoop(err)
 	}
-	req.reply <- campaignReply{err: err}
+	req.reply <- campaignReply{res: res, err: err}
 }
 
-// handleDegraded serves one request from the scheme's AI-only fast
-// path: no crowd round-trip, no learning, no committed cycle index, no
-// journal write — the campaign's durable cycle sequence and its replay
-// stay byte-identical through a shed burst. Panics are converted to
-// errors (and consume a restart) exactly like full cycles.
-func (c *Campaign) handleDegraded(deg core.DegradedAssessor, req campaignReq, in core.CycleInput) {
-	out, err := guardPanics("degraded-assess", func() (core.CycleOutput, error) {
-		return deg.AssessDegraded(in)
-	})
-	if err == nil {
-		c.sup.mu.Lock()
-		c.stats.ShedCycles++
-		c.sup.mu.Unlock()
-		c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", "shed").Inc()
-		req.reply <- campaignReply{res: AssessResult{Campaign: c.spec.ID, Cycle: in.Index, Output: out, Shed: true}}
-		return
+// refusal is why a dequeued request must not run (nil when it may).
+func (c *Campaign) refusal(req campaignReq) error {
+	select {
+	case <-c.stop:
+		return errStopping
+	default:
 	}
+	if err := stateErr(c.State()); err != nil {
+		return err
+	}
+	if err := req.ctx.Err(); err != nil {
+		// The caller vanished while queued; skip the cycle instead of
+		// computing a reply nobody reads.
+		c.sup.metrics.Counter(MetricRequestsAbandoned).Inc()
+		return err
+	}
+	return nil
+}
+
+// serve runs the request's cycle and records its accounting. A degraded
+// answer comes from the scheme's AI-only fast path: no crowd round-trip,
+// no learning, no committed cycle index, no journal write, so the
+// campaign's durable cycle sequence and its replay stay byte-identical
+// through a shed burst. A scheme without a fast path runs a full cycle
+// instead (work conservation). Panics in either path become errors.
+func (c *Campaign) serve(req campaignReq, wait time.Duration) (AssessResult, error) {
 	c.sup.mu.Lock()
-	c.stats.CycleErrors++
+	cycle := c.nextCycle
+	sys := c.sys
 	c.sup.mu.Unlock()
-	c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", "error").Inc()
-	if restartable(err) {
-		c.restartLoop(err)
+	in := core.CycleInput{Index: cycle, Context: req.Context, Images: req.Images}
+	if req.ticket != nil {
+		in.Attrs = []core.TraceAttr{
+			{Key: "campaign", Value: c.spec.ID},
+			{Key: "queueWaitMs", Value: wait.Milliseconds()},
+		}
+		if req.Tag != "" {
+			in.Attrs = append(in.Attrs, core.TraceAttr{Key: "tag", Value: req.Tag})
+		}
 	}
-	req.reply <- campaignReply{err: err}
+	deg, shed := sys.(core.DegradedAssessor)
+	shed = shed && req.degraded
+	started := time.Now()
+	var (
+		out core.CycleOutput
+		err error
+	)
+	if shed {
+		out, err = guardPanics("degraded-assess", func() (core.CycleOutput, error) {
+			return deg.AssessDegraded(in)
+		})
+	} else {
+		out, err = c.runGuarded(sys, in)
+	}
+	c.sup.metrics.Histogram(MetricAssessDuration, obs.DefBuckets).Observe(time.Since(started).Seconds())
+	if err != nil {
+		c.noteError(err)
+		return AssessResult{}, err
+	}
+	res := AssessResult{Campaign: c.spec.ID, Cycle: cycle, Images: req.Images, Output: out, Shed: shed}
+	c.note(res, sys)
+	return res, nil
 }
 
 // restartable reports whether a cycle failure warrants tearing the
@@ -652,17 +744,66 @@ func (c *Campaign) runGuarded(sys core.Scheme, in core.CycleInput) (core.CycleOu
 	}
 }
 
-// noteCycle records a committed cycle's accounting.
-func (c *Campaign) noteCycle(in core.CycleInput, out core.CycleOutput) {
+// note records a served answer's accounting: a committed cycle, or a
+// shed answer that commits nothing.
+func (c *Campaign) note(res AssessResult, sys core.Scheme) {
+	var weights map[string]float64
+	var budget *float64
+	result := "shed"
+	if !res.Shed {
+		weights, budget = telemetry(sys)
+		result = "ok"
+	}
+	out := res.Output
 	c.sup.mu.Lock()
-	c.nextCycle = in.Index + 1
-	c.stats.CyclesRun++
-	c.stats.ImagesAssessed += len(in.Images)
-	c.stats.CrowdQueries += len(out.Queried)
-	c.stats.SpentDollars += out.SpentDollars
-	c.stats.DegradedImages += len(out.Degraded)
+	c.stats.ImagesAssessed += len(res.Images)
+	if res.Shed {
+		c.stats.ShedResponses++
+	} else {
+		c.nextCycle = res.Cycle + 1
+		c.stats.CyclesRun++
+		c.stats.CrowdQueries += len(out.Queried)
+		c.stats.TotalSpent += out.SpentDollars
+		c.stats.Requeries += out.Requeries
+		c.stats.RefundedDollars += out.RefundedDollars
+		if len(out.Degraded) > 0 {
+			c.stats.DegradedCycles++
+			c.stats.DegradedImages += len(out.Degraded)
+		}
+		if len(out.Queried) > 0 {
+			c.crowdDelay += out.CrowdDelay
+			c.delayedCycles++
+			c.stats.MeanCrowdDelayS = (c.crowdDelay / time.Duration(c.delayedCycles)).Seconds()
+		}
+		if weights != nil {
+			c.stats.ExpertWeights, c.stats.BudgetRemaining = weights, budget
+		}
+	}
+	c.recent = append(c.recent, res)
+	if len(c.recent) > RecentResults {
+		c.recent = c.recent[len(c.recent)-RecentResults:]
+	}
 	c.sup.mu.Unlock()
-	c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", "ok").Inc()
+	c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", result).Inc()
+}
+
+// noteError records a failed request's accounting.
+func (c *Campaign) noteError(err error) {
+	stalled := errors.Is(err, ErrCycleStalled)
+	c.sup.mu.Lock()
+	c.stats.CycleErrors++
+	if stalled {
+		c.stats.Stalls++
+	}
+	c.sup.mu.Unlock()
+	c.sup.metrics.Counter(MetricCampaignCycles, "campaign", c.spec.ID, "result", "error").Inc()
+	c.sup.metrics.Counter(MetricAssessErrors).Inc()
+	if stalled {
+		c.sup.metrics.Counter(MetricCampaignStalls, "campaign", c.spec.ID).Inc()
+	}
+	if errors.Is(err, ErrCyclePanicked) {
+		c.sup.metrics.Counter(MetricPanicsRecovered).Inc()
+	}
 }
 
 // restartLoop drives the restart policy after a restartable failure:

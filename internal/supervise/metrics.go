@@ -36,12 +36,29 @@ const (
 	// MetricBreakerProbes counts half-open recovery probes by result
 	// (labels: campaign, result = "ok" | "fail").
 	MetricBreakerProbes = "crowdlearn_breaker_probes_total"
-	// MetricCampaignAdmission counts fleet admission-ladder outcomes
-	// (labels: campaign, decision = "admit" | "degrade" | "reject").
-	// Deliberately distinct from the single-service
-	// crowdlearn_admission_decisions_total so the two label sets never
-	// collide in a shared registry.
-	MetricCampaignAdmission = "crowdlearn_campaign_admission_total"
+	// MetricAssessDuration is a histogram of wall-clock processing time
+	// in seconds of every served request, full cycle or degrade tier.
+	MetricAssessDuration = "crowdlearn_assess_duration_seconds"
+	// MetricAssessErrors counts requests whose cycle failed.
+	MetricAssessErrors = "crowdlearn_assess_errors_total"
+	// MetricQueueRejected counts requests rejected by a full bounded
+	// queue (Options.QueueDepth).
+	MetricQueueRejected = "crowdlearn_queue_rejected_total"
+	// MetricPanicsRecovered counts panics recovered from cycles (and,
+	// in the HTTP layer, from handlers).
+	MetricPanicsRecovered = "crowdlearn_panics_recovered_total"
+	// MetricRequestsAbandoned counts dequeued requests whose caller's
+	// context had already expired, skipped without running a cycle.
+	MetricRequestsAbandoned = "crowdlearn_requests_abandoned_total"
+	// MetricAdmissionDecisions counts fleet admission-ladder outcomes
+	// (label: decision = "admit" | "degrade" | "reject").
+	MetricAdmissionDecisions = "crowdlearn_admission_decisions_total"
+	// MetricAdmissionLimit gauges the AIMD loop's current adaptive
+	// concurrency limit.
+	MetricAdmissionLimit = "crowdlearn_admission_limit"
+	// MetricQueueWait is a histogram of request queue wait in seconds —
+	// the signal the CoDel admission detector steers on.
+	MetricQueueWait = "crowdlearn_queue_wait_seconds"
 )
 
 // registerHelp attaches HELP text for the runtime's metrics. Safe on a
@@ -56,5 +73,12 @@ func registerHelp(r *obs.Registry) {
 	r.Help(MetricBreakerTransitions, "Circuit-breaker state transitions.")
 	r.Help(MetricBreakerRejections, "Crowd submissions fast-failed by an open breaker.")
 	r.Help(MetricBreakerProbes, "Half-open recovery probes by result.")
-	r.Help(MetricCampaignAdmission, "Fleet admission-ladder outcomes per campaign.")
+	r.Help(MetricAssessDuration, "Wall-clock request processing time in seconds.")
+	r.Help(MetricAssessErrors, "Assessment requests whose cycle failed.")
+	r.Help(MetricQueueRejected, "Assessment requests rejected by a full queue.")
+	r.Help(MetricPanicsRecovered, "Panics recovered from cycles and HTTP handlers.")
+	r.Help(MetricRequestsAbandoned, "Dequeued requests skipped because their caller's context had expired.")
+	r.Help(MetricAdmissionDecisions, "Admission ladder outcomes by decision (admit/degrade/reject).")
+	r.Help(MetricAdmissionLimit, "Current AIMD adaptive concurrency limit.")
+	r.Help(MetricQueueWait, "Request queue wait in seconds (the CoDel admission signal).")
 }

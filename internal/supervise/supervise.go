@@ -30,6 +30,11 @@ import (
 	"log/slog"
 )
 
+// DefaultCampaign is the campaign a single-campaign deployment runs:
+// the one the unprefixed HTTP routes serve, and the one whose unlabeled
+// core and store series may go to the process registry.
+const DefaultCampaign = "default"
+
 // State is a campaign's lifecycle state.
 type State int
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crowdlearn/crowdlearn/internal/admission"
 	"github.com/crowdlearn/crowdlearn/internal/core"
 	"github.com/crowdlearn/crowdlearn/internal/crowd"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
@@ -102,7 +103,7 @@ func createFake(t *testing.T, sup *Supervisor, id string, s *script, mutate func
 }
 
 func assess(sup *Supervisor, id string) (AssessResult, error) {
-	return sup.Assess(context.Background(), id, crowd.TemporalContext(0), []*imagery.Image{{}})
+	return sup.Assess(context.Background(), id, Request{Context: crowd.TemporalContext(0), Images: []*imagery.Image{{}}})
 }
 
 func TestCreateValidation(t *testing.T) {
@@ -404,6 +405,104 @@ func TestBusyQueue(t *testing.T) {
 	}
 	if err := <-second; err != nil {
 		t.Fatalf("queued request failed after release: %v", err)
+	}
+}
+
+// TestShutdownDrainAbandonsTickets: requests drained at shutdown never
+// ran a cycle, so the admission controller counts them abandoned, not
+// completed, and the drain-rate estimate behind Retry-After keeps the
+// pace of the cycles that did run instead of shrinking toward zero.
+func TestShutdownDrainAbandonsTickets(t *testing.T) {
+	s := &script{block: make(chan struct{})}
+	sup := New(Options{
+		Logger:     quietLogger(),
+		Sleep:      func(time.Duration) {},
+		QueueDepth: 8,
+		Admission:  &admission.Config{},
+	})
+	c := createFake(t, sup, "c1", s, nil)
+	// Completions a gap apart set the estimate; Retry-After clamps to at
+	// least 1s, so the gap must exceed it to be visible.
+	const gap = 1100 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(gap)
+		}
+		if _, err := assess(sup, "c1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sup.Admission()
+	if before.RetryAfterSeconds < gap.Seconds() {
+		t.Fatalf("Retry-After %vs after completions %v apart", before.RetryAfterSeconds, gap)
+	}
+
+	// Hold the worker in a third cycle and queue requests behind it.
+	s.mu.Lock()
+	s.blocking = 1
+	s.mu.Unlock()
+	const queued = 4
+	errs := make(chan error, queued+1)
+	send := func() {
+		_, err := assess(sup, "c1")
+		errs <- err
+	}
+	go send()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		started := s.cycles == 3
+		s.mu.Unlock()
+		if started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("third cycle never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < queued; i++ {
+		go send()
+	}
+	for len(c.requests) < queued {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The held cycle ends a gap after the last one, so it keeps the
+	// estimate; the queued requests must not move it.
+	time.Sleep(gap)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- sup.Shutdown(ctx) }()
+	for stopping := false; !stopping; {
+		select {
+		case <-c.stop:
+			stopping = true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(s.block)
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	drained := 0
+	for i := 0; i < queued+1; i++ {
+		if err := <-errs; errors.Is(err, ErrShutdown) {
+			drained++
+		}
+	}
+	after := sup.Admission()
+	if drained != queued || after.Abandoned != before.Abandoned+queued {
+		t.Errorf("drained %d, abandoned %d -> %d; want %d of each", drained, before.Abandoned, after.Abandoned, queued)
+	}
+	if after.Inflight != 0 {
+		t.Errorf("inflight %d after shutdown, want 0", after.Inflight)
+	}
+	if after.RetryAfterSeconds < before.RetryAfterSeconds {
+		t.Errorf("Retry-After fell from %vs to %vs across the drain", before.RetryAfterSeconds, after.RetryAfterSeconds)
 	}
 }
 

@@ -34,15 +34,22 @@ type Options struct {
 	// deterministically through Kick instead).
 	StallTimeout time.Duration
 	// QueueDepth bounds each campaign's request queue; a full queue
-	// rejects with ErrBusy (default 8).
+	// rejects with a retryable ErrBusy. 0 leaves the queue unbounded:
+	// callers wait until the worker takes their request.
 	QueueDepth int
+	// RequestTimeout caps one Assess call end to end, queue wait plus
+	// cycle; an expired call fails with context.DeadlineExceeded, and a
+	// request whose caller has gone is skipped at dequeue. 0 disables
+	// the cap.
+	RequestTimeout time.Duration
 	// Sleep and After are seams over time.Sleep / time.After so the
 	// chaos suite runs restart storms without wall-clock waits.
 	Sleep func(time.Duration)
 	After func(time.Duration) <-chan time.Time
 	// Admission, when non-nil, enables adaptive overload control across
 	// the whole fleet: one shared admission.Controller decides every
-	// Assess, with per-campaign fair-share buckets keyed by campaign ID.
+	// Assess, with fair-share buckets keyed by Request.Tag, or by the
+	// campaign ID for an untagged request.
 	// Shed requests degrade to the scheme's AI-only fast path
 	// (core.DegradedAssessor) or reject with a retryable ErrBusy carrying
 	// a drain-rate-derived Retry-After.
@@ -51,14 +58,15 @@ type Options struct {
 
 // Supervisor hosts campaigns as isolated failure domains.
 type Supervisor struct {
-	logger       *slog.Logger
-	metrics      *obs.Registry
-	restart      RestartPolicy
-	brkCfg       BreakerConfig
-	stallTimeout time.Duration
-	queueDepth   int
-	sleep        func(time.Duration)
-	after        func(time.Duration) <-chan time.Time
+	logger         *slog.Logger
+	metrics        *obs.Registry
+	restart        RestartPolicy
+	brkCfg         BreakerConfig
+	stallTimeout   time.Duration
+	queueDepth     int
+	requestTimeout time.Duration
+	sleep          func(time.Duration)
+	after          func(time.Duration) <-chan time.Time
 	// admit is the fleet-wide overload controller (nil when disabled);
 	// epoch anchors the monotonic offsets fed to its clockless API.
 	admit *admission.Controller
@@ -74,8 +82,8 @@ func New(opts Options) *Supervisor {
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 8
+	if opts.QueueDepth < 0 {
+		opts.QueueDepth = 0
 	}
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
@@ -85,16 +93,17 @@ func New(opts Options) *Supervisor {
 	}
 	registerHelp(opts.Metrics)
 	s := &Supervisor{
-		logger:       opts.Logger,
-		metrics:      opts.Metrics,
-		restart:      opts.Restart.withDefaults(),
-		brkCfg:       opts.Breaker.withDefaults(),
-		stallTimeout: opts.StallTimeout,
-		queueDepth:   opts.QueueDepth,
-		sleep:        opts.Sleep,
-		after:        opts.After,
-		epoch:        time.Now(),
-		campaigns:    make(map[string]*Campaign),
+		logger:         opts.Logger,
+		metrics:        opts.Metrics,
+		restart:        opts.Restart.withDefaults(),
+		brkCfg:         opts.Breaker.withDefaults(),
+		stallTimeout:   opts.StallTimeout,
+		queueDepth:     opts.QueueDepth,
+		requestTimeout: opts.RequestTimeout,
+		sleep:          opts.Sleep,
+		after:          opts.After,
+		epoch:          time.Now(),
+		campaigns:      make(map[string]*Campaign),
 	}
 	if opts.Admission != nil {
 		s.admit = admission.NewController(*opts.Admission)
@@ -134,6 +143,9 @@ func (s *Supervisor) Create(spec Spec) (*Campaign, error) {
 	if spec.Build == nil {
 		return nil, fmt.Errorf("supervise: campaign %s: Build must be non-nil", spec.ID)
 	}
+	if spec.StartCycle < 0 {
+		return nil, fmt.Errorf("supervise: campaign %s: StartCycle %d must be non-negative", spec.ID, spec.StartCycle)
+	}
 	restart := s.restart
 	if spec.Restart != nil {
 		restart = spec.Restart.withDefaults()
@@ -160,6 +172,8 @@ func (s *Supervisor) Create(spec Spec) (*Campaign, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		state:    StateRunning,
+		// A durable campaign's recovery overrides this.
+		nextCycle: spec.StartCycle,
 	}
 
 	s.mu.Lock()
@@ -213,13 +227,27 @@ func (s *Supervisor) IDs() []string {
 	return ids
 }
 
-// Assess enqueues one sensing cycle on a campaign and waits for its
-// result. A full queue fails fast with ErrBusy; a paused, quarantined
-// or archived campaign rejects with its state's sentinel. With
-// Options.Admission set, the fleet-wide overload controller may degrade
-// the cycle to AI-only labels (AssessResult.Shed) or reject it with a
-// retryable ErrBusy carrying a drain-rate-derived Retry-After.
-func (s *Supervisor) Assess(ctx context.Context, id string, tctx crowd.TemporalContext, images []*imagery.Image) (AssessResult, error) {
+// Request is one batch of imagery to assess.
+type Request struct {
+	// Context is the temporal context the batch arrives under.
+	Context crowd.TemporalContext
+	// Images are the batch's images.
+	Images []*imagery.Image
+	// Tag is the admission fair-share key: tagged requests share a
+	// bucket per tag across the fleet, untagged ones their campaign's.
+	// Ignored without Options.Admission.
+	Tag string
+}
+
+// Assess queues one sensing cycle on a campaign and waits for its
+// result. A full bounded queue fails fast with a retryable ErrBusy; a
+// paused, quarantined or archived campaign rejects with its state's
+// sentinel. With Options.Admission set, the fleet-wide overload
+// controller may degrade the cycle to AI-only labels (AssessResult.Shed)
+// or reject it with a retryable ErrBusy carrying a drain-rate-derived
+// Retry-After. With Options.RequestTimeout set, the whole call is
+// bounded by it.
+func (s *Supervisor) Assess(ctx context.Context, id string, req Request) (AssessResult, error) {
 	c, err := s.get(id)
 	if err != nil {
 		return AssessResult{}, err
@@ -229,58 +257,89 @@ func (s *Supervisor) Assess(ctx context.Context, id string, tctx crowd.TemporalC
 	if serr := stateErr(c.State()); serr != nil {
 		return AssessResult{}, serr
 	}
-	req := campaignReq{tctx: tctx, images: images, reply: make(chan campaignReply, 1)}
+	if s.requestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
+		defer cancel()
+	}
+	cr := campaignReq{Request: req, ctx: ctx, reply: make(chan campaignReply, 1)}
 	if s.admit != nil {
-		dec, ticket := s.admit.Decide(s.nowd(), id)
-		s.metrics.Counter(MetricCampaignAdmission,
-			"campaign", id, "decision", dec.Outcome.String()).Inc()
+		key := req.Tag
+		if key == "" {
+			key = id
+		}
+		dec, ticket := s.admit.Decide(s.nowd(), key)
+		s.metrics.Counter(MetricAdmissionDecisions, "decision", dec.Outcome.String()).Inc()
 		if dec.Outcome == admission.Reject {
 			return AssessResult{}, admission.MarkRetryableAfter(
 				fmt.Errorf("%w: %s (admission: %s)", ErrBusy, id, dec.Reason), dec.RetryAfter)
 		}
-		req.ticket = ticket
-		req.degraded = ticket.Degraded()
+		cr.ticket = ticket
+		cr.degraded = ticket.Degraded()
 	}
-	select {
-	case c.requests <- req:
-	case <-c.stop:
-		req.ticket.Abandon(s.nowd())
-		return AssessResult{}, ErrShutdown
-	case <-c.done:
-		req.ticket.Abandon(s.nowd())
-		return AssessResult{}, ErrShutdown
-	case <-ctx.Done():
-		req.ticket.Abandon(s.nowd())
-		return AssessResult{}, ctx.Err()
-	default:
-		req.ticket.Abandon(s.nowd())
-		if s.admit != nil {
-			return AssessResult{}, admission.MarkRetryableAfter(
-				fmt.Errorf("%w: %s", ErrBusy, id), s.admit.RetryAfter(s.nowd()))
-		}
-		return AssessResult{}, fmt.Errorf("%w: %s", ErrBusy, id)
+	if err := s.enqueue(ctx, c, cr); err != nil {
+		cr.ticket.Abandon(s.nowd())
+		return AssessResult{}, err
 	}
+	// Queued: the worker owns the ticket from here. Leaving early on ctx
+	// is safe because the worker checks the caller's context on dequeue.
 	select {
-	case reply := <-req.reply:
-		req.ticket.Done(s.nowd(), reply.err == nil)
+	case reply := <-cr.reply:
 		return reply.res, reply.err
 	case <-c.done:
-		// Worker gone — drained shutdown replies are buffered, so prefer
-		// one if it raced the close.
+		// Worker gone. Its replies are buffered, so prefer one that
+		// raced the close; without one the request was never dequeued.
 		select {
-		case reply := <-req.reply:
-			req.ticket.Done(s.nowd(), reply.err == nil)
+		case reply := <-cr.reply:
 			return reply.res, reply.err
 		default:
-			req.ticket.Abandon(s.nowd())
-			return AssessResult{}, fmt.Errorf("%w: campaign %s worker exited", ErrShutdown, id)
+			cr.ticket.Abandon(s.nowd())
+			return AssessResult{}, admission.MarkRetryable(
+				fmt.Errorf("%w: campaign %s worker exited", ErrShutdown, id))
 		}
 	case <-ctx.Done():
-		// The worker still holds the request; its buffered reply is
-		// dropped on the floor.
-		req.ticket.Abandon(s.nowd())
 		return AssessResult{}, ctx.Err()
 	}
+}
+
+// enqueue hands cr to the campaign's worker: at once or a retryable
+// ErrBusy with a bounded queue, blocking until the worker takes it
+// without one. A request queued as the campaign stops is refused at
+// dequeue or drained.
+func (s *Supervisor) enqueue(ctx context.Context, c *Campaign, cr campaignReq) error {
+	if s.queueDepth > 0 {
+		select {
+		case c.requests <- cr:
+			return nil
+		default:
+			s.metrics.Counter(MetricQueueRejected).Inc()
+			after := time.Second
+			if s.admit != nil {
+				after = s.admit.RetryAfter(s.nowd())
+			}
+			return admission.MarkRetryableAfter(fmt.Errorf("%w: %s", ErrBusy, c.spec.ID), after)
+		}
+	}
+	select {
+	case c.requests <- cr:
+		return nil
+	case <-c.done:
+		return admission.MarkRetryable(ErrShutdown)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Recent returns a campaign's latest answers, newest last (at most
+// RecentResults).
+func (s *Supervisor) Recent(id string) ([]AssessResult, error) {
+	c, err := s.get(id)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]AssessResult(nil), c.recent...), nil
 }
 
 // ctl round-trips one lifecycle operation through the campaign worker.
