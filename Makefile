@@ -92,8 +92,10 @@ bench:
 # The tracked benchmark set: the workers=1/2/4 sensing cycle (with
 # per-stage wall/busy/idle/utilization extras from the stage profiler),
 # the Table II regeneration, the allocation-free scoring-path
-# benchmarks, and one MIC retraining pass per committee expert (the
-# dense-layer training kernels, DESIGN.md §9). Iteration counts are
+# benchmarks, one MIC retraining pass per committee expert (the
+# dense-layer training kernels, DESIGN.md §9), the cold-start bootstrap
+# training (three expert fits and CQC in one fan-out) and CQC's GBDT
+# training on its own (the pinned split-search sort). Iteration counts are
 # pinned (-benchtime Nx): RunCycle's per-op cost depends on b.N (MIC
 # retrains accumulate training data across iterations), so adaptive
 # benchtime makes ns/op and allocs/op incomparable between runs and the
@@ -103,7 +105,9 @@ BENCH_CMD = ( $(GO) test -bench 'BenchmarkTable2Accuracy' -benchtime 1x -cpu 1,2
 	  $(GO) test -bench 'BenchmarkRunCycleParallel' -benchtime 300x -cpu 1,2 -benchmem -run xxx -timeout 60m . ; \
 	  $(GO) test -bench 'BenchmarkRunCyclePipelined' -benchtime 150x -cpu 1,2 -benchmem -run xxx -timeout 60m . ; \
 	  $(GO) test -bench 'BenchmarkCommitteeVote$$|BenchmarkCommitteeEntropy$$' -benchtime 100000x -cpu 1,2 -benchmem -run xxx ./internal/qss/ ; \
-	  $(GO) test -bench 'BenchmarkExpertRetrain' -benchtime 100x -cpu 1,2 -benchmem -run xxx ./internal/classifier/ )
+	  $(GO) test -bench 'BenchmarkExpertRetrain' -benchtime 100x -cpu 1,2 -benchmem -run xxx ./internal/classifier/ ; \
+	  $(GO) test -bench 'BenchmarkBootstrap$$' -benchtime 10x -cpu 1,2 -benchmem -run xxx ./internal/core/ ; \
+	  $(GO) test -bench 'BenchmarkTrain$$' -benchtime 10x -cpu 1,2 -benchmem -run xxx ./internal/cqc/ )
 
 # Machine-readable parallel-scaling trajectory: reruns the tracked
 # benchmark set and appends to the committed BENCH_parallel.json —

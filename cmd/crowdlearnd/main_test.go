@@ -325,14 +325,18 @@ func TestCampaignModeHonoursQueueAndTimeoutFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full lab")
 	}
-	const timeout = 300 * time.Millisecond
-	base, runErr := startDaemon(t, "-campaigns", "2", "-queue-depth", "0", "-request-timeout", timeout.String())
+	const timeout = 150 * time.Millisecond
+	logs := captureStderr(t)
+	base, runErr := startDaemon(t, "-campaigns", "2", "-queue-depth", "0", "-request-timeout", timeout.String(), "-log-level", "warn")
 	defer stopDaemon(t, runErr)
 	ids := imageIDs(t, base)
 
-	// 40 ten-image cycles take well over the timeout on one worker, and
-	// arrive together: any bounded queue of the old default depth (8)
-	// would reject most of them.
+	// 40 ten-image cycles take well over the timeout on one worker (early
+	// cycles run in under 10 ms on a fast host), and arrive together: any
+	// bounded queue of the old default depth (8) would reject most of
+	// them. The burst stays below the ~45 cycles after which the default
+	// IPD budget runs out: past that, AI-only cycles take well under a
+	// millisecond and the rest of the queue drains inside any timeout.
 	const burst = 40
 	type answer struct {
 		code    int
@@ -366,6 +370,9 @@ func TestCampaignModeHonoursQueueAndTimeoutFlags(t *testing.T) {
 			ok++
 		case strings.Contains(a.body, context.DeadlineExceeded.Error()):
 			timedOut++
+			if a.code != http.StatusGatewayTimeout {
+				t.Errorf("timed-out assess answered %d, want %d", a.code, http.StatusGatewayTimeout)
+			}
 		default:
 			t.Errorf("assess status %d: %s", a.code, a.body)
 		}
@@ -375,5 +382,43 @@ func TestCampaignModeHonoursQueueAndTimeoutFlags(t *testing.T) {
 	}
 	if ok == 0 || timedOut == 0 {
 		t.Errorf("%d answered and %d timed out of %d; want both", ok, timedOut, burst)
+	}
+	// A timeout is logged as a warning, never as a failed request. The
+	// middleware logs after the response is written, so wait for the
+	// lines to land.
+	for deadline := time.Now().Add(5 * time.Second); strings.Count(logs(), `msg="request timed out"`) < timedOut && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
+	out := logs()
+	if got := strings.Count(out, `level=WARN msg="request timed out"`); got != timedOut {
+		t.Errorf("%d timed-out requests logged at WARN, want %d", got, timedOut)
+	}
+	if strings.Contains(out, "level=ERROR") {
+		t.Errorf("a request timeout was logged at ERROR:\n%s", out)
+	}
+}
+
+// captureStderr points os.Stderr, where the daemon logs, at a file until
+// the test ends, and returns a reader of what has been logged so far.
+// Call it before startDaemon: the daemon's logger binds os.Stderr when
+// it starts.
+func captureStderr(t *testing.T) func() string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = f
+	t.Cleanup(func() {
+		os.Stderr = saved
+		f.Close()
+	})
+	return func() string {
+		data, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
 }

@@ -74,16 +74,27 @@ type Expert interface {
 	PerImageCost() time.Duration
 }
 
-// UpdateWorkerTuner is implemented by experts whose incremental Update
-// pass can have its internal gradient parallelism re-tuned after
-// construction. MIC uses it to force inner training to sequential when
-// it fans out one goroutine per expert retrain, so expert-level and
-// per-example parallelism do not multiply into oversubscription.
-type UpdateWorkerTuner interface {
-	// SetUpdateWorkers caps the per-minibatch parallelism of subsequent
-	// Update calls (1 = sequential, 0 = restore the configured value).
-	// Results are bit-identical at any setting.
-	SetUpdateWorkers(n int)
+// WorkerTuner is implemented by experts whose Train and Update passes
+// can have their internal gradient parallelism re-tuned after
+// construction. Callers that fan out one goroutine per expert (bootstrap
+// training in core, retraining in MIC) use it to force inner training to
+// sequential, so expert-level and per-example parallelism do not
+// multiply into oversubscription.
+type WorkerTuner interface {
+	// SetInnerWorkers caps the per-minibatch parallelism of subsequent
+	// Train and Update calls (1 = sequential, 0 = restore the configured
+	// value). Results are bit-identical at any setting.
+	SetInnerWorkers(n int)
+}
+
+// SetInnerWorkers applies SetInnerWorkers(n) to every expert that
+// implements WorkerTuner.
+func SetInnerWorkers(experts []Expert, n int) {
+	for _, e := range experts {
+		if tuner, ok := e.(WorkerTuner); ok {
+			tuner.SetInnerWorkers(n)
+		}
+	}
 }
 
 // mlpExpert is the shared implementation behind VGG16, BoVW and DDM.
@@ -93,17 +104,17 @@ type mlpExpert struct {
 	net       *neural.Network
 	netCfg    neural.Config
 	updateCfg neural.Config
-	// updateWorkers, when positive, overrides updateCfg's worker count
-	// for Update passes (see UpdateWorkerTuner).
-	updateWorkers int
-	inDim         int
-	cost          time.Duration
+	// innerWorkers, when positive, overrides the configured worker
+	// count of Train and Update passes (see WorkerTuner).
+	innerWorkers int
+	inDim        int
+	cost         time.Duration
 }
 
 var (
-	_ Expert            = (*mlpExpert)(nil)
-	_ IntoPredictor     = (*mlpExpert)(nil)
-	_ UpdateWorkerTuner = (*mlpExpert)(nil)
+	_ Expert        = (*mlpExpert)(nil)
+	_ IntoPredictor = (*mlpExpert)(nil)
+	_ WorkerTuner   = (*mlpExpert)(nil)
 )
 
 // Options tunes expert construction.
@@ -197,7 +208,7 @@ func (e *mlpExpert) Train(samples []Sample) error {
 	if err != nil {
 		return err
 	}
-	if _, err := net.Train(examples); err != nil {
+	if _, err := net.TrainWithWorkers(examples, 0, 0, e.innerWorkers); err != nil {
 		return err
 	}
 	e.net = net
@@ -215,14 +226,14 @@ func (e *mlpExpert) Update(samples []Sample) error {
 	}
 	// A short, gentle fine-tuning pass that continues from the current
 	// weights — not a full refit.
-	if _, err := e.net.TrainWithWorkers(examples, e.updateCfg.Epochs, e.updateCfg.LearningRate, e.updateWorkers); err != nil {
+	if _, err := e.net.TrainWithWorkers(examples, e.updateCfg.Epochs, e.updateCfg.LearningRate, e.innerWorkers); err != nil {
 		return err
 	}
 	return nil
 }
 
-// SetUpdateWorkers implements UpdateWorkerTuner.
-func (e *mlpExpert) SetUpdateWorkers(n int) { e.updateWorkers = n }
+// SetInnerWorkers implements WorkerTuner.
+func (e *mlpExpert) SetInnerWorkers(n int) { e.innerWorkers = n }
 
 // Predict implements Expert.
 func (e *mlpExpert) Predict(im *imagery.Image) []float64 {

@@ -63,3 +63,24 @@ func BenchmarkRunCycleObserved(b *testing.B) {
 	})
 	runCycleBench(b, cl, f)
 }
+
+// BenchmarkBootstrap measures a cold start's training: New, Bootstrap
+// and the deferred training EnsureBootstrapped runs — the three expert
+// fits and the CQC fit on the shared fixture.
+func BenchmarkBootstrap(b *testing.B) {
+	f := sharedFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl, err := New(DefaultConfig(), freshPlatform())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := cl.Bootstrap(f.ds.Train, f.pilot); err != nil {
+			b.Fatal(err)
+		}
+		if err := cl.EnsureBootstrapped(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

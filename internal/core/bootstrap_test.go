@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -188,5 +190,62 @@ func TestFailedRestoreLeavesPending(t *testing.T) {
 			}
 			requireSameRun(t, newBootstrappedCrowdLearn(t, f), cl, inputs)
 		})
+	}
+}
+
+// bootstrapGolden is the SHA-256 of SaveState right after the default
+// bootstrap on the shared fixture, captured when the committee and CQC
+// still trained one after the other.
+const bootstrapGolden = "fea4131582ad2bb7c89edcf98f631438d54307034c3531535fbdd3752f223295"
+
+var errInjected = errors.New("injected training failure")
+
+// failingExpert is a committee member whose Train always fails.
+type failingExpert struct{ classifier.Expert }
+
+func (e failingExpert) Train([]classifier.Sample) error { return errInjected }
+
+// TestBootstrapFanOutBitIdentical: the bootstrap's one fan-out over the
+// experts and CQC leaves the bytes of the sequential training at any
+// worker count, and reports the error a sequential training would
+// report first: experts in committee order, then CQC.
+func TestBootstrapFanOutBitIdentical(t *testing.T) {
+	f := sharedFixture(t)
+	build := func(workers int, pilot *crowd.PilotData, failing ...int) *CrowdLearn {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		cl, err := New(cfg, freshPlatform())
+		if err != nil {
+			t.Fatal(err)
+		}
+		experts := cl.committee.Experts()
+		for _, m := range failing {
+			experts[m] = failingExpert{experts[m]}
+		}
+		if err := cl.Bootstrap(f.ds.Train, pilot); err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	for _, workers := range []int{1, 2, 4} {
+		cl := build(workers, f.pilot)
+		if err := cl.EnsureBootstrapped(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(mustSave(t, cl))); got != bootstrapGolden {
+			t.Errorf("workers=%d: bootstrap state hash %s, want %s", workers, got, bootstrapGolden)
+		}
+
+		// bovw (committee slot 1) fails before ddm (slot 2) and CQC in
+		// the sequential order, though ddm is scheduled first.
+		err := build(workers, &crowd.PilotData{}, 1, 2).EnsureBootstrapped()
+		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "train bovw") {
+			t.Errorf("workers=%d: failing bovw, ddm and CQC: got %v, want bovw's error", workers, err)
+		}
+		err = build(workers, &crowd.PilotData{}).EnsureBootstrapped()
+		if err == nil || !strings.HasPrefix(err.Error(), "cqc:") {
+			t.Errorf("workers=%d: failing CQC: got %v, want CQC's error", workers, err)
+		}
 	}
 }

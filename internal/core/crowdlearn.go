@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -159,7 +161,6 @@ func New(cfg Config, platform CrowdPlatform) (*CrowdLearn, error) {
 	if err != nil {
 		return nil, err
 	}
-	committee.SetWorkers(cfg.Workers)
 	if cfg.Strategy == nil {
 		cfg.Strategy = qss.EntropyStrategy{}
 	}
@@ -281,18 +282,67 @@ func (cl *CrowdLearn) EnsureBootstrapped() error {
 // its error; a failed training surfaces from the next cycle instead.
 func (cl *CrowdLearn) settle() { _ = cl.EnsureBootstrapped() }
 
-// train is the bootstrap training itself. Its steps and their order fix
-// where every seeded stream starts, so they must not change.
+// bootGrain pins the bootstrap fan-out at one training unit per work
+// unit: a full expert or CQC fit is the coarsest unit in the system.
+var bootGrain = parallel.Grain{MinChunk: 1, CostNs: 1_000_000_000}
+
+// bootOrder lists the bootstrap's training units in scheduling order,
+// by index into the error slots (the committee's experts in committee
+// order, then CQC at slot len(experts)). Experts go longest first by
+// PerImageCost, which follows network size as training time does: ddm,
+// vgg16, bovw. CQC goes second. Single-threaded on the default lab the
+// fits take ~135 (ddm), ~100 (CQC), ~120 (vgg16) and ~35 ms (bovw), so
+// two workers get the segments {ddm, CQC} and {vgg16, bovw}, near the
+// best two-way split, and stealing evens out what the estimates miss.
+func bootOrder(experts []classifier.Expert, withCQC bool) []int {
+	order := make([]int, len(experts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return experts[order[a]].PerImageCost() > experts[order[b]].PerImageCost()
+	})
+	if withCQC {
+		order = slices.Insert(order, 1, len(experts))
+	}
+	return order
+}
+
+// train is the bootstrap training itself: the committee's experts and
+// CQC are independent units (disjoint state, each with its own seeded
+// stream), so they run as one fan-out of coarse units. When that
+// fan-out resolves above one worker every unit trains sequentially
+// inside, so the two levels of parallelism do not multiply. The
+// replay buffer and the bandit warm start follow, in their old order.
+// Errors come back in the sequential order: experts in committee
+// order, then CQC.
 func (cl *CrowdLearn) train(train []*imagery.Image, pilot *crowd.PilotData) error {
 	trainSamples := classifier.SamplesFromImages(train)
-	if err := cl.committee.Train(trainSamples); err != nil {
-		return err
+	experts := cl.committee.Experts()
+	order := bootOrder(experts, pilot != nil)
+	inner := 0
+	if w, _ := bootGrain.Effective(cl.cfg.Workers, len(order)); w > 1 {
+		inner = 1
+	}
+	classifier.SetInnerWorkers(experts, inner)
+	errs := make([]error, len(experts)+1)
+	parallel.ForGrain(cl.cfg.Workers, len(order), bootGrain, func(u int) {
+		slot := order[u]
+		if slot < len(experts) {
+			if err := experts[slot].Train(trainSamples); err != nil {
+				errs[slot] = fmt.Errorf("core: train %s: %w", experts[slot].Name(), err)
+			}
+			return
+		}
+		errs[slot] = cl.quality.TrainWithWorkers(pilot.AllResults(), inner)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	cl.replay = newReplayBuffer(trainSamples, cl.cfg.Seed+303)
 	if pilot != nil {
-		if err := cl.quality.Train(pilot.AllResults()); err != nil {
-			return err
-		}
 		cl.policy.WarmStart(pilot)
 	}
 	cl.bootstrapped = true

@@ -145,6 +145,14 @@ func topTwo(fractions []float64) (top, second float64) {
 // Train fits the truth classifier on query results whose images carry
 // golden ground-truth labels — the pilot-study phase of the paper.
 func (c *CQC) Train(results []crowd.QueryResult) error {
+	return c.TrainWithWorkers(results, 0)
+}
+
+// TrainWithWorkers is Train with the boosted trees' worker count
+// overridden for this call when workers > 0: a caller that already runs
+// the training as one unit of its own fan-out passes 1. The model is
+// bit-identical at any worker count.
+func (c *CQC) TrainWithWorkers(results []crowd.QueryResult, workers int) error {
 	if len(results) == 0 {
 		return errors.New("cqc: no training results")
 	}
@@ -157,7 +165,11 @@ func (c *CQC) Train(results []crowd.QueryResult) error {
 		features[i] = c.Featurize(qr)
 		labels[i] = int(qr.Query.Image.TrueLabel)
 	}
-	model, err := gbdt.Train(features, labels, imagery.NumLabels, c.cfg.GBDT)
+	params := c.cfg.GBDT
+	if workers > 0 {
+		params.Workers = workers
+	}
+	model, err := gbdt.Train(features, labels, imagery.NumLabels, params)
 	if err != nil {
 		return fmt.Errorf("cqc: %w", err)
 	}

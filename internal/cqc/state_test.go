@@ -2,6 +2,8 @@ package cqc
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -125,5 +127,58 @@ func TestCQCRestoreIsFixedPoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.FeatureImportance(), fresh.FeatureImportance()) {
 		t.Error("loaded CQC reports different feature importance")
+	}
+}
+
+// goldenCQC pins the SHA-256 of SaveState after training on the default
+// pilot study, per configuration. The hashes were captured from the
+// split search that sorted each node with sort.Slice; the pinned sort
+// that replaced it must leave vote-fraction ties, and so every leaf
+// weight, exactly where they were.
+var goldenCQC = []struct {
+	questionnaire bool
+	earlyStopping int
+	maxDepth      int
+	want          string
+}{
+	{true, 0, 4, "01e1d4f1fc015685121bba1eb59de201bfb945ab29122cb79cdbedba042131cb"},
+	{false, 0, 4, "90a800d98c18d2d5137669fa358ab36627d5ba6559f015f2b9c71c0dee4c7bb8"},
+	{true, 5, 4, "28648892cc25d234d3f54da35c8c05862316b8bddfdca07cdf250c6bdd0c9043"},
+	{true, 0, 7, "7cfdd340692ee0791f844223aa8b53c258557f14910970f5122bf501cc265b11"},
+	{false, 5, 7, "d69e64990e78a5c3d19b634a9fbbf1ab4d18665e53bc021a1471d9b6cd641e36"},
+}
+
+// TestTrainBitIdenticalGolden: the trained model's bytes match the
+// golden hashes at every worker count, whether the count comes from the
+// configuration or from TrainWithWorkers.
+func TestTrainBitIdenticalGolden(t *testing.T) {
+	pilot, _, _ := pilotFixture(t)
+	results := pilot.AllResults()
+	for _, g := range goldenCQC {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.UseQuestionnaire = g.questionnaire
+			cfg.GBDT.EarlyStoppingRounds = g.earlyStopping
+			cfg.GBDT.MaxDepth = g.maxDepth
+			cfg.GBDT.Workers = workers
+			configured := New(cfg)
+			if err := configured.Train(results); err != nil {
+				t.Fatal(err)
+			}
+			cfg.GBDT.Workers = 0
+			overridden := New(cfg)
+			if err := overridden.TrainWithWorkers(results, workers); err != nil {
+				t.Fatal(err)
+			}
+			for name, c := range map[string]*CQC{"configured": configured, "override": overridden} {
+				var buf bytes.Buffer
+				if err := c.SaveState(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != g.want {
+					t.Errorf("%+v workers=%d (%s): hash %s, want %s", g, workers, name, got, g.want)
+				}
+			}
+		}
 	}
 }

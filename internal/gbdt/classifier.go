@@ -174,6 +174,15 @@ func validateInputs(features [][]float64, labels []int, numClasses int, params P
 	return nil
 }
 
+// Per-sample cost hints for the boosting loops: one softmax gradient
+// (~50ns at three classes) and one tree descent (~10ns). At CQC's
+// pilot size (hundreds of rows) every such loop runs inline; only
+// training sets of thousands of rows fan out.
+var (
+	gradGrain    = parallel.Grain{CostNs: 50}
+	predictGrain = parallel.Grain{CostNs: 10}
+)
+
 // trainCore runs the boosting loop, optionally early-stopping on the
 // validation log-loss.
 func trainCore(features [][]float64, labels []int, valFeatures [][]float64, valLabels []int, numClasses int, params Params) (*Classifier, error) {
@@ -207,6 +216,7 @@ func trainCore(features [][]float64, labels []int, valFeatures [][]float64, valL
 		probsW[w] = make([]float64, numClasses)
 	}
 	scratch := newBuildScratch(params.Workers, numFeatures)
+	valGrain := parallel.Grain{CostNs: predictGrain.CostNs * int64(numClasses)}
 
 	// Validation state for early stopping.
 	earlyStopping := params.EarlyStoppingRounds > 0 && len(valFeatures) > 0
@@ -243,7 +253,7 @@ func trainCore(features [][]float64, labels []int, valFeatures [][]float64, valL
 			// Softmax gradients: g = p_k - y_k, h = p_k (1 - p_k). Each
 			// sample owns its grad/hess slot; the softmax scratch is
 			// per-worker.
-			parallel.ForWorker(params.Workers, n, func(w, i int) {
+			parallel.ForWorkerGrainObs(params.Workers, n, gradGrain, nil, func(w, i int) {
 				probs := probsW[w]
 				mathx.Softmax(scores[i], probs)
 				p := probs[k]
@@ -268,14 +278,14 @@ func trainCore(features [][]float64, labels []int, valFeatures [][]float64, valL
 			tr := b.build(idx)
 			roundTrees[k] = tr
 			// Apply shrinkage-scaled updates to all samples.
-			parallel.For(params.Workers, n, func(i int) {
+			parallel.ForGrain(params.Workers, n, predictGrain, func(i int) {
 				scores[i][k] += params.LearningRate * tr.predict(features[i])
 			})
 		}
 		c.trees = append(c.trees, roundTrees)
 
 		if earlyStopping {
-			parallel.For(params.Workers, len(valFeatures), func(vi int) {
+			parallel.ForGrain(params.Workers, len(valFeatures), valGrain, func(vi int) {
 				for k, tr := range roundTrees {
 					valScores[vi][k] += params.LearningRate * tr.predict(valFeatures[vi])
 				}

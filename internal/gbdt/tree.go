@@ -12,7 +12,6 @@ package gbdt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/crowdlearn/crowdlearn/internal/parallel"
 )
@@ -68,8 +67,10 @@ type buildScratch struct {
 	// arena holds the node index sets, partitioned in place as the tree
 	// grows.
 	arena []int
-	// orders[w] is worker slot w's feature-sort buffer.
-	orders [][]int
+	// pairs[f] is feature f's (value, row) ordering of the node under
+	// search. After bestSplit returns, the winning feature's buffer holds
+	// the node's rows in the order its children are cut from.
+	pairs [][]pair
 	// cands[f] is feature f's best split, merged in ascending feature
 	// order after the parallel scan.
 	cands []splitCandidate
@@ -78,17 +79,25 @@ type buildScratch struct {
 func newBuildScratch(workers, numFeatures int) *buildScratch {
 	return &buildScratch{
 		workers: workers,
-		orders:  make([][]int, parallel.Workers(workers)),
+		pairs:   make([][]pair, numFeatures),
 		cands:   make([]splitCandidate, numFeatures),
 	}
 }
 
-// order returns worker slot w's sort buffer with length n.
-func (s *buildScratch) order(w, n int) []int {
-	if cap(s.orders[w]) < n {
-		s.orders[w] = make([]int, n)
+// sorted fills feature f's pair buffer with the rows of idx and sorts it
+// by value. The pinned sort (pdqsort.go) leaves tied values in the order
+// sort.Slice over idx would, which fixes the gradient summation order of
+// the scan and the children's arena order, hence the model's bits.
+func (s *buildScratch) sorted(features [][]float64, idx []int, f int) []pair {
+	if cap(s.pairs[f]) < len(idx) {
+		s.pairs[f] = make([]pair, len(idx))
 	}
-	return s.orders[w][:n]
+	ps := s.pairs[f][:len(idx)]
+	for k, i := range idx {
+		ps[k] = pair{v: features[i][f], row: i}
+	}
+	sortKeyed(ps)
+	return ps
 }
 
 // treeBuilder grows one tree on gradient/hessian targets.
@@ -138,14 +147,13 @@ func (b *treeBuilder) grow(idx []int, depth int) int {
 	}
 	b.importance[best.feature] += best.gain
 
-	// Partition in place: re-sorting the node's arena segment by the
-	// winning feature applies the same comparator to the same sequence the
-	// split search saw, hence produces the same permutation; slicing at
-	// the split position then yields the children without copying.
-	f := best.feature
-	sort.Slice(idx, func(a, c int) bool {
-		return b.features[idx[a]][f] < b.features[idx[c]][f]
-	})
+	// Partition in place: the winning feature's sorted pairs are the
+	// node's rows in split order, so writing them back over the node's
+	// arena segment and slicing at the split position yields the
+	// children without copying.
+	for k, p := range b.scratch.pairs[best.feature][:len(idx)] {
+		idx[k] = p.row
+	}
 	left := b.grow(idx[:best.pos], depth+1)
 	right := b.grow(idx[best.pos:], depth+1)
 	b.t.nodes[self].feature = best.feature
@@ -155,37 +163,40 @@ func (b *treeBuilder) grow(idx []int, depth int) int {
 	return self
 }
 
+// splitRowNs is the order-of-magnitude split-search cost per node row of
+// one feature (fill, sort and scan), the per-node cost hint that keeps
+// small nodes' searches on the caller's goroutine.
+const splitRowNs = 20
+
 // bestSplit performs exact greedy split finding, fanning the per-feature
-// scans out across workers. Each feature's scan keeps its first
-// maximum-gain position (strict improvement over ascending positions);
-// the sequential merge keeps the first maximum over ascending features.
-// The winner is therefore the first candidate in lexicographic
-// (feature, position) order attaining the global maximum gain — exactly
-// what a sequential flat scan selects — at any worker count.
+// scans out across workers when the node is large enough to pay for it.
+// Each feature's scan keeps its first maximum-gain position (strict
+// improvement over ascending positions); the sequential merge keeps the
+// first maximum over ascending features. The winner is therefore the
+// first candidate in lexicographic (feature, position) order attaining
+// the global maximum gain — exactly what a sequential flat scan selects
+// — at any worker count.
 func (b *treeBuilder) bestSplit(idx []int, gTotal, hTotal float64) splitCandidate {
 	numFeatures := len(b.features[0])
 	lam := b.params.Lambda
 	parentScore := gTotal * gTotal / (hTotal + lam)
 	s := b.scratch
 	cands := s.cands[:numFeatures]
-	parallel.ForWorker(s.workers, numFeatures, func(w, f int) {
-		order := s.order(w, len(idx))
-		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool {
-			return b.features[order[a]][f] < b.features[order[c]][f]
-		})
+	grain := parallel.Grain{CostNs: splitRowNs * int64(len(idx))}
+	parallel.ForGrain(s.workers, numFeatures, grain, func(f int) {
+		ps := s.sorted(b.features, idx, f)
 		best := splitCandidate{feature: f}
 		var gl, hl float64
-		for pos := 0; pos < len(order)-1; pos++ {
-			i := order[pos]
+		for pos := 0; pos < len(ps)-1; pos++ {
+			i := ps[pos].row
 			gl += b.grad[i]
 			hl += b.hess[i]
-			v, next := b.features[i][f], b.features[order[pos+1]][f]
+			v, next := ps[pos].v, ps[pos+1].v
 			if v == next {
 				continue // can't split between equal values
 			}
 			nl := pos + 1
-			nr := len(order) - nl
+			nr := len(ps) - nl
 			if nl < b.params.MinSamplesLeaf || nr < b.params.MinSamplesLeaf {
 				continue
 			}

@@ -161,16 +161,11 @@ func (c *Calibrator) RetrainObs(committee *qss.Committee, samples []classifier.S
 		return nil
 	}
 	experts := committee.Experts()
-	w, _ := retrainGrain.Effective(c.cfg.Workers, len(experts))
-	for _, e := range experts {
-		if tuner, ok := e.(classifier.UpdateWorkerTuner); ok {
-			if w > 1 {
-				tuner.SetUpdateWorkers(1)
-			} else {
-				tuner.SetUpdateWorkers(0)
-			}
-		}
+	inner := 0
+	if w, _ := retrainGrain.Effective(c.cfg.Workers, len(experts)); w > 1 {
+		inner = 1
 	}
+	classifier.SetInnerWorkers(experts, inner)
 	return parallel.ForErrGrainObs(c.cfg.Workers, len(experts), retrainGrain, o, func(m int) error {
 		if err := experts[m].Update(samples); err != nil {
 			return fmt.Errorf("mic: retrain %s: %w", experts[m].Name(), err)

@@ -197,11 +197,14 @@ func TestCalibrateWithRealExperts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committee, err := qss.NewCommittee(classifier.StandardCommittee(imagery.DefaultDims, 1)...)
-	if err != nil {
-		t.Fatal(err)
+	experts := classifier.StandardCommittee(imagery.DefaultDims, 1)
+	for _, e := range experts {
+		if err := e.Train(classifier.SamplesFromImages(ds.Train)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := committee.Train(classifier.SamplesFromImages(ds.Train)); err != nil {
+	committee, err := qss.NewCommittee(experts...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cal, _ := New(DefaultConfig())

@@ -27,10 +27,11 @@
 //
 // Chunk sizes are governed by Grain, a caller-supplied cost hint: a
 // chunk must be large enough to amortize the cross-goroutine handoff it
-// costs, and a loop whose total work cannot fill more than one such
-// chunk collapses to the inline sequential path. Callers that know an
-// item's order-of-magnitude cost pass it; the zero Grain preserves the
-// historical n/(workers·4) chunking.
+// costs, a worker is added only for a full chunk, and a loop whose
+// total work cannot fill two such chunks collapses to the inline
+// sequential path. Callers that know an item's order-of-magnitude cost
+// pass it; the zero Grain preserves the historical n/(workers·4)
+// chunking.
 //
 // The *Obs loop variants accept an Observer that receives per-chunk
 // scheduling events — the measurement hook internal/prof builds its
@@ -113,7 +114,10 @@ func (g Grain) Effective(workers, n int) (w, chunk int) {
 	if chunk >= n {
 		return 1, n
 	}
-	if eff := (n + chunk - 1) / chunk; eff < w {
+	// A worker is worth adding only for a full chunk: a short tail chunk
+	// cannot pay for the handoff that would hand it to another
+	// goroutine, so it stays with a worker that already runs.
+	if eff := n / chunk; eff < w {
 		w = eff
 	}
 	if w <= 1 {

@@ -254,6 +254,8 @@ func TestGrainEffective(t *testing.T) {
 		{"min chunk floor reduces workers", Grain{MinChunk: 50}, 4, 100, 2, 50},
 		{"expensive handoff collapses tiny loop inline", Grain{CostNs: 4_000}, 4, 10, 1, 10},
 		{"cost hint grows chunk", Grain{CostNs: 1_000}, 4, 1000, 4, 100},
+		{"short tail chunk earns no worker", Grain{CostNs: 10_000}, 2, 12, 1, 12},
+		{"two full chunks earn two workers", Grain{CostNs: 20_000}, 2, 12, 2, 5},
 		{"single worker always inline", Grain{}, 1, 100, 1, 100},
 		{"empty loop", Grain{}, 4, 0, 1, 0},
 		{"one item", Grain{CostNs: 1}, 4, 1, 1, 1},

@@ -3,7 +3,6 @@ package qss
 import (
 	"testing"
 
-	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 )
 
@@ -13,14 +12,7 @@ func trainedCommittee(b *testing.B) (*Committee, *imagery.Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := NewCommittee(classifier.StandardCommittee(imagery.DefaultDims, 1)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Train(classifier.SamplesFromImages(ds.Train)); err != nil {
-		b.Fatal(err)
-	}
-	return c, ds
+	return standardCommittee(b, ds), ds
 }
 
 func BenchmarkCommitteeVote(b *testing.B) {

@@ -41,10 +41,6 @@ type Committee struct {
 	mu      sync.RWMutex
 	weights []float64
 
-	// workers caps the fan-out of Train across experts (0 = GOMAXPROCS,
-	// 1 = sequential).
-	workers int
-
 	// scratch pools per-vote aggregation buffers so the entropy scoring
 	// path allocates nothing per image.
 	scratch sync.Pool
@@ -134,31 +130,11 @@ func (c *Committee) RestoreWeights(w []float64) error {
 	return nil
 }
 
-// SetWorkers caps the expert-level training fan-out (0 = GOMAXPROCS,
-// 1 = sequential). Experts hold disjoint state, so the trained committee
-// is identical at any value.
-func (c *Committee) SetWorkers(n int) { c.workers = n }
-
-// expertGrain pins expert fan-outs at one member per work unit: a full
-// or incremental expert fit is the coarsest unit in the system, so no
-// chunk may batch two experts while a worker idles.
-var expertGrain = parallel.Grain{MinChunk: 1, CostNs: 1_000_000_000}
-
 // scoreGrain is the chunking cost hint for per-image committee scoring
 // (~microseconds per image: one pooled forward pass per member), so
 // small per-cycle image windows collapse to the inline path instead of
 // paying goroutine handoffs they cannot amortize.
 var scoreGrain = parallel.Grain{CostNs: 4_000}
-
-// Train trains every member on the samples, fanning out across experts.
-func (c *Committee) Train(samples []classifier.Sample) error {
-	return parallel.ForErrGrainObs(c.workers, len(c.experts), expertGrain, nil, func(m int) error {
-		if err := c.experts[m].Train(samples); err != nil {
-			return fmt.Errorf("qss: train %s: %w", c.experts[m].Name(), err)
-		}
-		return nil
-	})
-}
 
 // MemberVotes returns each expert's raw vote distribution for the image.
 func (c *Committee) MemberVotes(im *imagery.Image) [][]float64 {

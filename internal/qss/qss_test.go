@@ -298,6 +298,24 @@ func TestSelectDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// standardCommittee builds the paper's three-expert committee, each
+// expert fitted on the dataset's training split.
+func standardCommittee(tb testing.TB, ds *imagery.Dataset) *Committee {
+	tb.Helper()
+	experts := classifier.StandardCommittee(imagery.DefaultDims, 1)
+	samples := classifier.SamplesFromImages(ds.Train)
+	for _, e := range experts {
+		if err := e.Train(samples); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	committee, err := NewCommittee(experts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return committee
+}
+
 // Integration: on a real trained committee, epsilon-greedy must surface
 // both low-res (high entropy) and at least occasionally fake (low entropy)
 // images — the two failure categories of Section IV-D.
@@ -306,13 +324,7 @@ func TestSelectSurfacesBothFailureCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committee, err := NewCommittee(classifier.StandardCommittee(imagery.DefaultDims, 1)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := committee.Train(classifier.SamplesFromImages(ds.Train)); err != nil {
-		t.Fatal(err)
-	}
+	committee := standardCommittee(t, ds)
 	sel, err := NewSelector(0.2, 5)
 	if err != nil {
 		t.Fatal(err)

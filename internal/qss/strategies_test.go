@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/crowdlearn/crowdlearn/internal/classifier"
 	"github.com/crowdlearn/crowdlearn/internal/imagery"
 )
 
@@ -134,13 +133,7 @@ func TestStrategiesSurfaceUncertainImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committee, err := NewCommittee(classifier.StandardCommittee(imagery.DefaultDims, 1)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := committee.Train(classifier.SamplesFromImages(ds.Train)); err != nil {
-		t.Fatal(err)
-	}
+	committee := standardCommittee(t, ds)
 	lowResRate := float64(imagery.CountByFailure(ds.Test)[imagery.FailureLowRes]) / float64(len(ds.Test))
 	for _, strat := range Strategies() {
 		sel, err := NewStrategySelector(strat, 0, int64(100))

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,6 +62,8 @@ func writeSupError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 	case errors.Is(err, supervise.ErrShutdown):
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+	case errors.Is(err, context.DeadlineExceeded):
+		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}

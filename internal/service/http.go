@@ -174,9 +174,14 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Int("status", rec.status),
 			slog.Duration("elapsed", elapsed),
 		}
-		if rec.status >= http.StatusInternalServerError {
+		switch {
+		case rec.status == http.StatusGatewayTimeout:
+			// The configured request timeout cut the assessment off:
+			// an overload outcome, not a server fault.
+			h.cfg.logger.Warn("request timed out", attrs...)
+		case rec.status >= http.StatusInternalServerError:
 			h.cfg.logger.Error("request failed", attrs...)
-		} else {
+		default:
 			h.cfg.logger.Debug("request", attrs...)
 		}
 	}

@@ -282,9 +282,6 @@ type Campaign struct {
 	breaker *Breaker
 }
 
-// ID returns the campaign's identifier.
-func (c *Campaign) ID() string { return c.spec.ID }
-
 // State returns the lifecycle state.
 func (c *Campaign) State() State {
 	c.sup.mu.Lock()

@@ -123,7 +123,7 @@ func TestCreateValidation(t *testing.T) {
 		return nil, errors.New("no dataset")
 	}}); err == nil {
 		t.Fatal("failing Build accepted")
-	} else if _, gerr := sup.Campaign("badbuild"); !errors.Is(gerr, ErrUnknownCampaign) {
+	} else if _, gerr := sup.get("badbuild"); !errors.Is(gerr, ErrUnknownCampaign) {
 		t.Fatalf("failed Create left campaign registered: %v", gerr)
 	}
 }
@@ -275,9 +275,6 @@ func TestQuarantineAndOperatorResume(t *testing.T) {
 	if _, err := assess(sup, "sick"); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("assess while quarantined: got %v", err)
 	}
-	if sup.Healthy() {
-		t.Fatal("supervisor healthy with a quarantined campaign")
-	}
 
 	// Isolation: the sibling campaign never noticed.
 	if _, err := assess(sup, "healthy"); err != nil {
@@ -300,9 +297,6 @@ func TestQuarantineAndOperatorResume(t *testing.T) {
 	h, _ = sup.CampaignHealth("sick")
 	if h.State != "running" || h.Restarts != 0 {
 		t.Fatalf("resume did not reset budget: %+v", h)
-	}
-	if !sup.Healthy() {
-		t.Fatal("supervisor unhealthy after resume")
 	}
 }
 
@@ -536,10 +530,6 @@ func TestHealthSortedAndIDs(t *testing.T) {
 	if len(hs) != 3 || hs[0].ID != "alpha" || hs[1].ID != "mid" || hs[2].ID != "zeta" {
 		t.Fatalf("health order: %+v", hs)
 	}
-	ids := sup.IDs()
-	if len(ids) != 3 || ids[0] != "alpha" || ids[2] != "zeta" {
-		t.Fatalf("IDs order: %v", ids)
-	}
 }
 
 // ---- breaker state machine ----
@@ -713,7 +703,7 @@ func TestBuildPanicIsError(t *testing.T) {
 	if !errors.Is(err, ErrCyclePanicked) {
 		t.Fatalf("panicking Build: got %v, want ErrCyclePanicked", err)
 	}
-	if _, gerr := sup.Campaign("boom"); !errors.Is(gerr, ErrUnknownCampaign) {
+	if _, gerr := sup.get("boom"); !errors.Is(gerr, ErrUnknownCampaign) {
 		t.Fatalf("panicking Create left campaign registered: %v", gerr)
 	}
 }

@@ -212,21 +212,6 @@ func (s *Supervisor) get(id string) (*Campaign, error) {
 	return c, nil
 }
 
-// Campaign returns a registered campaign by ID.
-func (s *Supervisor) Campaign(id string) (*Campaign, error) { return s.get(id) }
-
-// IDs lists campaign IDs in sorted order.
-func (s *Supervisor) IDs() []string {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.campaigns))
-	for id := range s.campaigns {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	return ids
-}
-
 // Request is one batch of imagery to assess.
 type Request struct {
 	// Context is the temporal context the batch arrives under.
@@ -432,18 +417,6 @@ func (s *Supervisor) CampaignHealth(id string) (CampaignHealth, error) {
 		return CampaignHealth{}, err
 	}
 	return c.health(), nil
-}
-
-// Healthy reports whether every campaign is serving (running or
-// restarting); paused campaigns are deliberate, so they do not fail
-// health, but quarantined ones do.
-func (s *Supervisor) Healthy() bool {
-	for _, h := range s.Health() {
-		if h.State == StateQuarantined.String() {
-			return false
-		}
-	}
-	return true
 }
 
 // Shutdown stops every campaign worker, letting in-flight cycles finish
